@@ -35,14 +35,20 @@ int main() {
 
   video::SyntheticCamera camera({.width = 96, .height = 72, .seed = 5});
   video::OrderCheckingSink sink;
-  const auto result = pipeline::run_demo(camera, *net, sink, 48, cfg);
+  const auto snap = pipeline::run_demo(camera, *net, sink, 48, cfg);
   std::printf("\nhost run: %lld frames, %.1f fps (host-relative), order %s\n",
-              static_cast<long long>(sink.frames_received()), result.fps,
+              static_cast<long long>(sink.frames_received()),
+              snap.gauge_value("serve.session.pipeline.fps"),
               sink.in_order() ? "preserved" : "VIOLATED");
   std::printf("%-22s %8s %6s\n", "stage", "busy ms", "jobs");
-  for (const auto& s : result.stats)
-    std::printf("%-22s %8.1f %6lld\n", s.name.c_str(), s.busy_ms,
-                static_cast<long long>(s.jobs));
+  for (const auto& s : stages) {
+    const auto* busy = snap.find_histogram("serve.session.pipeline.stage." +
+                                           serve::metric_label(s.name) +
+                                           ".busy_ms");
+    std::printf("%-22s %8.1f %6lld\n", s.name.c_str(),
+                busy ? busy->stats.sum : 0.0,
+                static_cast<long long>(busy ? busy->stats.count : 0));
+  }
 
   // Modeled ZU3EG pipeline (the paper's stage times).
   const perf::ZynqPlatform platform;

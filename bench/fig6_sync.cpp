@@ -25,7 +25,7 @@ int main() {
     for (const int num_stages : {3, 6}) {
       std::atomic<int64_t> next{0};
       Rng jitter(static_cast<uint64_t>(workers * 100 + num_stages));
-      std::vector<pipeline::Stage> stages;
+      std::vector<serve::ServeStage> stages;
       for (int s = 0; s < num_stages; ++s) {
         // Jittered busy-wait stages exercise out-of-order completions.
         const int base_us = 100 + static_cast<int>(jitter.uniform_int(0, 400));
@@ -36,18 +36,21 @@ int main() {
                           }});
       }
       video::OrderCheckingSink sink;
-      pipeline::Pipeline p(
-          stages,
-          [&next] {
-            video::Frame f;
-            f.sequence = next++;
-            return f;
-          },
-          [&sink](const video::Frame& f) { sink.push(f); }, workers);
+      pipeline::PipelineOptions po;
+      po.stages = std::move(stages);
+      po.source = [&next] {
+        video::Frame f;
+        f.sequence = next++;
+        return f;
+      };
+      po.sink = [&sink](const video::Frame& f) { sink.push(f); };
+      po.num_workers = workers;
+      pipeline::Pipeline p(std::move(po));
       p.run(200);
       all_ordered = all_ordered && sink.in_order();
       std::printf("%7d %7d %8lld %9.0f %s\n", workers, num_stages,
-                  static_cast<long long>(sink.frames_received()), p.fps(),
+                  static_cast<long long>(sink.frames_received()),
+                  p.snapshot().gauge_value("serve.session.pipeline.fps"),
                   sink.in_order() ? "preserved" : "VIOLATED");
     }
   }

@@ -38,10 +38,6 @@
 //               [--faults N] [--p99-ms X] [--metrics-json PATH]
 //               [--trace PATH] [--flight-dir DIR]
 
-// ServeStage carries optional batched fields (batch_work, engine_layer)
-// with safe defaults; the three-field {name, work, uses_engine} literal
-// stays the canonical spelling for plain CPU stages.
-#pragma GCC diagnostic ignored "-Wmissing-field-initializers"
 
 #include <algorithm>
 #include <atomic>

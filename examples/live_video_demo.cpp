@@ -36,9 +36,10 @@ int main(int argc, char** argv) {
   cfg.num_workers = workers;
   std::printf("running %lld frames through the demo pipeline (%d workers)...\n",
               static_cast<long long>(frames), workers);
-  const auto result = pipeline::run_demo(camera, *net, sink, frames, cfg);
+  const auto snap = pipeline::run_demo(camera, *net, sink, frames, cfg);
 
-  std::printf("done: %.1f fps on this host, frame order %s\n", result.fps,
+  std::printf("done: %.1f fps on this host, frame order %s\n",
+              snap.gauge_value("serve.session.pipeline.fps"),
               sink.in_order() ? "preserved" : "VIOLATED");
 
   // Save one annotated frame so the output is inspectable.

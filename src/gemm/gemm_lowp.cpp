@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "gemm/scratch.hpp"
-#include "simd/vec.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace tincy::gemm {
@@ -19,41 +18,6 @@ void gemm_lowp_i32(int64_t M, int64_t N, int64_t K, const uint8_t* A,
         const int32_t b = static_cast<int32_t>(B[k * N + j]) - rhs_zero;
         acc += a * b;
       }
-      C[i * N + j] = acc;
-    }
-  }
-}
-
-void gemm_lowp_i32_lanes(int64_t M, int64_t N, int64_t K, const uint8_t* A,
-                         int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
-                         int32_t* C) {
-  using namespace simd;
-  // Process 8 output columns per step: widen both operands to i16 lanes,
-  // VMULL.S16 into i32x4 halves, accumulate.
-  const int64_t n8 = N - (N % 8);
-  const I16x8 vzb = I16x8::splat(static_cast<int16_t>(rhs_zero));
-  for (int64_t i = 0; i < M; ++i) {
-    for (int64_t j = 0; j < n8; j += 8) {
-      I32x4 acc_lo = I32x4::splat(0), acc_hi = I32x4::splat(0);
-      for (int64_t k = 0; k < K; ++k) {
-        const int16_t a16 =
-            static_cast<int16_t>(static_cast<int32_t>(A[i * K + k]) - lhs_zero);
-        // Load 8 consecutive B codes of this row, widen, center.
-        U8x16 braw{};
-        for (int l = 0; l < 8; ++l) braw.lane[l] = B[k * N + j + l];
-        const I16x8 b16 = sub(widen_low(braw), vzb);
-        const auto [b_lo, b_hi] = split(b16);
-        acc_lo = add(acc_lo, widening_mul(I16x4::splat(a16), b_lo));
-        acc_hi = add(acc_hi, widening_mul(I16x4::splat(a16), b_hi));
-      }
-      acc_lo.store(C + i * N + j);
-      acc_hi.store(C + i * N + j + 4);
-    }
-    for (int64_t j = n8; j < N; ++j) {
-      int32_t acc = 0;
-      for (int64_t k = 0; k < K; ++k)
-        acc += (static_cast<int32_t>(A[i * K + k]) - lhs_zero) *
-               (static_cast<int32_t>(B[k * N + j]) - rhs_zero);
       C[i * N + j] = acc;
     }
   }

@@ -21,12 +21,6 @@ void gemm_lowp_i32(int64_t M, int64_t N, int64_t K, const uint8_t* A,
                    int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
                    int32_t* C);
 
-/// Lane-vectorized variant using the NEON idiom VMULL.S16 + VPADAL /
-/// accumulate-long over 8 widened lanes; bit-identical to gemm_lowp_i32.
-void gemm_lowp_i32_lanes(int64_t M, int64_t N, int64_t K, const uint8_t* A,
-                         int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
-                         int32_t* C);
-
 /// Full quantized GEMM: int32 accumulation followed by the requantization
 /// pipeline into uint8 output codes.
 void gemm_lowp_u8(int64_t M, int64_t N, int64_t K, const uint8_t* A,

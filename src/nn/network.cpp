@@ -62,11 +62,6 @@ const Tensor& Network::layer_output(int64_t i) const {
   return outputs_[static_cast<size_t>(i)];
 }
 
-double Network::last_layer_ms(int64_t i) const {
-  TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  return layer_hist_[static_cast<size_t>(i)]->last();
-}
-
 telemetry::Snapshot Network::snapshot() const {
   return metrics_->snapshot("net.");
 }

@@ -42,7 +42,7 @@ class Network {
   Shape output_shape() const;
 
   /// Whole-network inference; returns the final feature map. Each layer
-  /// records a telemetry span retrievable via last_layer_ms()/snapshot().
+  /// records a telemetry span retrievable via snapshot().
   const Tensor& forward(const Tensor& input);
 
   /// Runs a single layer on an explicit input (pipeline mode). The result
@@ -57,12 +57,6 @@ class Network {
 
   /// Activation buffer of layer i after the last forward/run_layer.
   const Tensor& layer_output(int64_t i) const;
-
-  /// Milliseconds layer i took in its most recent execution (0 before any
-  /// run).
-  /// \deprecated Thin adapter over the `net.layer.<i>.<type>.ms`
-  /// telemetry histogram; prefer snapshot().
-  double last_layer_ms(int64_t i) const;
 
   /// Sample of this network's metrics (the `net.` namespace of its
   /// registry): per-layer latency histograms plus `net.forward.ms`.

@@ -5,11 +5,13 @@
 #include "detect/decode.hpp"
 #include "detect/nms.hpp"
 #include "nn/region_layer.hpp"
+#include "pipeline/pipeline.hpp"
 #include "video/draw.hpp"
 
 namespace tincy::pipeline {
 
-std::vector<Stage> make_demo_stages(nn::Network& net, const DemoConfig& cfg) {
+std::vector<serve::ServeStage> make_demo_stages(nn::Network& net,
+                                                const DemoConfig& cfg) {
   TINCY_CHECK_MSG(net.num_layers() >= 1, "empty network");
   auto* region =
       dynamic_cast<nn::RegionLayer*>(&net.layer(net.num_layers() - 1));
@@ -19,9 +21,9 @@ std::vector<Stage> make_demo_stages(nn::Network& net, const DemoConfig& cfg) {
   TINCY_CHECK_MSG(net.input_shape().width() == input_size,
                   "demo expects a square network input");
 
-  std::vector<Stage> stages;
+  std::vector<serve::ServeStage> stages;
 
-  // #0 Read Frame — the camera pull happens in the pipeline's source hook;
+  // #0 Read Frame — the camera pull happens in the session's source hook;
   // this stage represents the capture/copy cost as its own job slot (the
   // paper split image acquisition into camera access and scaling).
   stages.push_back({"read_frame", [](video::Frame&) {}});
@@ -33,8 +35,7 @@ std::vector<Stage> make_demo_stages(nn::Network& net, const DemoConfig& cfg) {
 
   // #2 .. N+1: one stage per network layer, on per-frame buffers. Routing
   // through run_layer_into (not Layer::forward directly) keeps per-layer
-  // telemetry fresh in pipeline mode — last_layer_ms() used to report the
-  // stale timings of a previous whole-net forward() here.
+  // telemetry fresh in pipeline mode.
   for (int64_t i = 0; i < net.num_layers(); ++i) {
     const Shape out_shape = net.layer(i).output_shape();
     const bool first = i == 0;
@@ -72,9 +73,9 @@ std::vector<Stage> make_demo_stages(nn::Network& net, const DemoConfig& cfg) {
   return stages;
 }
 
-DemoResult run_demo(video::SyntheticCamera& camera, nn::Network& net,
-                    video::OrderCheckingSink& sink, int64_t num_frames,
-                    const DemoConfig& cfg) {
+telemetry::Snapshot run_demo(video::SyntheticCamera& camera,
+                             nn::Network& net, video::OrderCheckingSink& sink,
+                             int64_t num_frames, const DemoConfig& cfg) {
   PipelineOptions options;
   options.stages = make_demo_stages(net, cfg);
   options.source = [&camera] { return camera.read_frame(); };
@@ -84,14 +85,7 @@ DemoResult run_demo(video::SyntheticCamera& camera, nn::Network& net,
   options.trace = cfg.trace;
   Pipeline pipeline(std::move(options));
   pipeline.run(num_frames);
-  // The snapshot is the result; the legacy fields are derived from the
-  // same telemetry (no independent timing accumulation).
-  DemoResult result;
-  result.snapshot = pipeline.snapshot();
-  result.stats = pipeline.stats();
-  result.elapsed_seconds = pipeline.elapsed_seconds();
-  result.fps = pipeline.fps();
-  return result;
+  return pipeline.snapshot();
 }
 
 }  // namespace tincy::pipeline

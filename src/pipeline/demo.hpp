@@ -8,10 +8,10 @@
 ///   #N+2 Object Boxing, #N+3 Frame Drawing —
 /// feeding an always-free sink.
 
-#include <functional>
+#include <vector>
 
 #include "nn/network.hpp"
-#include "pipeline/pipeline.hpp"
+#include "serve/server.hpp"
 #include "telemetry/metrics.hpp"
 #include "video/camera.hpp"
 #include "video/sink.hpp"
@@ -35,26 +35,17 @@ struct DemoConfig {
 /// region layer; each layer becomes one stage operating on per-frame
 /// buffers so concurrent frames never share activation storage. Layer
 /// stages run through Network::run_layer_into, so per-layer telemetry
-/// (`net.layer.<i>.<type>.ms`) stays fresh in pipeline mode.
-std::vector<Stage> make_demo_stages(nn::Network& net, const DemoConfig& cfg);
-
-/// Outcome of a demo run: the telemetry snapshot is the primary result;
-/// the remaining fields are adapters derived from it for older callers.
-struct DemoResult {
-  /// Unified sample of the run: `pipeline.stage.*` busy/wait/jobs,
-  /// `pipeline.frame_latency_ms`, `net.layer.*.ms`, `pipeline.fps`, ...
-  telemetry::Snapshot snapshot;
-
-  /// \deprecated Derived from `snapshot`; prefer the snapshot itself.
-  std::vector<StageStats> stats;
-  double elapsed_seconds = 0.0;
-  double fps = 0.0;
-};
+/// (`net.layer.<i>.<type>.ms`) stays fresh in pipeline mode. No stage is
+/// engine-tagged; serve::demo_session_stages marks those.
+std::vector<serve::ServeStage> make_demo_stages(nn::Network& net,
+                                                const DemoConfig& cfg);
 
 /// Convenience: runs `num_frames` camera frames through the demo pipeline
-/// into `sink`.
-DemoResult run_demo(video::SyntheticCamera& camera, nn::Network& net,
-                    video::OrderCheckingSink& sink, int64_t num_frames,
-                    const DemoConfig& cfg = {});
+/// into `sink`. Returns the registry's sample of the run:
+/// `serve.session.pipeline.*` (frames, latency_ms, fps, per-stage
+/// busy_ms/wait_ms), `net.layer.*.ms`, ...
+telemetry::Snapshot run_demo(video::SyntheticCamera& camera,
+                             nn::Network& net, video::OrderCheckingSink& sink,
+                             int64_t num_frames, const DemoConfig& cfg = {});
 
 }  // namespace tincy::pipeline

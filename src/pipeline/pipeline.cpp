@@ -1,181 +1,32 @@
 #include "pipeline/pipeline.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "core/errors.hpp"
-
-#ifdef __linux__
-#include <pthread.h>
-#endif
 
 namespace tincy::pipeline {
 
 namespace {
 
-/// Stage names become metric-name components; spaces would make the
-/// flat names awkward to grep, so they are replaced.
-std::string metric_label(const std::string& stage_name) {
-  std::string out = stage_name;
-  std::replace(out.begin(), out.end(), ' ', '_');
-  return out;
-}
-
-double ms_between(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
+serve::ServerOptions server_options(const PipelineOptions& options) {
+  serve::ServerOptions so;
+  so.num_workers = options.num_workers;
+  so.metrics = options.metrics;
+  so.trace = options.trace;
+  return so;
 }
 
 }  // namespace
 
-Pipeline::Pipeline(PipelineOptions options) : options_(std::move(options)) {
-  TINCY_CHECK_MSG(!options_.stages.empty(),
-                  "pipeline needs at least one stage");
-  TINCY_CHECK_MSG(options_.num_workers >= 1,
-                  "num_workers " << options_.num_workers);
-  TINCY_CHECK(options_.source != nullptr && options_.sink != nullptr);
-  metrics_ = options_.metrics ? options_.metrics
-                              : &telemetry::MetricsRegistry::global();
-  trace_ = options_.trace ? options_.trace
-                          : &telemetry::TraceCollector::global();
-
-  stage_metrics_.reserve(options_.stages.size());
-  stage_trace_names_.reserve(options_.stages.size());
-  for (const auto& stage : options_.stages)
-    stage_trace_names_.push_back("stage:" + stage.name);
-  for (const auto& stage : options_.stages) {
-    const std::string prefix =
-        "pipeline.stage." + metric_label(stage.name) + ".";
-    stage_metrics_.push_back({&metrics_->histogram(prefix + "busy_ms"),
-                              &metrics_->histogram(prefix + "wait_ms"),
-                              &metrics_->counter(prefix + "jobs"),
-                              &metrics_->gauge(prefix + "queue_depth")});
-  }
-  frame_latency_hist_ = &metrics_->histogram("pipeline.frame_latency_ms");
-  idle_ms_gauge_ = &metrics_->gauge("pipeline.workers.idle_ms");
-  frames_counter_ = &metrics_->counter("pipeline.frames");
-  elapsed_ms_gauge_ = &metrics_->gauge("pipeline.elapsed_ms");
-  fps_gauge_ = &metrics_->gauge("pipeline.fps");
-}
-
-Pipeline::Pipeline(std::vector<Stage> stages,
-                   std::function<video::Frame()> source,
-                   std::function<void(const video::Frame&)> sink,
-                   int num_workers)
-    : Pipeline(PipelineOptions{std::move(stages), std::move(source),
-                               std::move(sink), num_workers,
-                               /*pin_threads=*/true, /*collect_latency=*/true,
-                               /*metrics=*/nullptr}) {}
-
-int64_t Pipeline::pick_job_locked() const {
-  // "The most mature one whose output buffer is free and whose input
-  // buffer has data pending" — scan from the back of the pipeline.
-  const auto& stages = options_.stages;
-  for (int64_t i = static_cast<int64_t>(stages.size()) - 1; i >= 0; --i) {
-    const Slot& out = slots_[static_cast<size_t>(i)];
-    if (out.reserved || out.frame.has_value()) continue;  // output not free
-    if (i == 0) {
-      if (frames_pulled_ < frames_to_pull_) return 0;  // source always avail
-      continue;
-    }
-    if (slots_[static_cast<size_t>(i - 1)].frame.has_value()) return i;
-  }
-  return -1;
-}
-
-void Pipeline::worker_loop(int worker_index) {
-#ifdef __linux__
-  // "One worker thread is allocated for each available core and tied to
-  // it" — best-effort pinning on the host.
-  if (options_.pin_threads) {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    CPU_SET(static_cast<unsigned>(worker_index) % ncpu, &set);
-    pthread_setaffinity_np(pthread_self(), sizeof set, &set);
-  }
-#else
-  (void)worker_index;
-#endif
-
-  std::unique_lock lock(mutex_);
-  while (true) {
-    int64_t job = -1;
-    const auto idle0 = std::chrono::steady_clock::now();
-    cv_.wait(lock, [&] {
-      job = pick_job_locked();
-      return stopping_ || frames_sunk_ == frames_total_ || job >= 0;
-    });
-    idle_ms_gauge_->add(ms_between(idle0, std::chrono::steady_clock::now()));
-    if (stopping_ || frames_sunk_ == frames_total_) return;
-
-    // Claim the job: reserve the output slot and take the input frame.
-    StageMetrics& sm = stage_metrics_[static_cast<size_t>(job)];
-    Slot& out = slots_[static_cast<size_t>(job)];
-    out.reserved = true;
-    video::Frame frame;
-    if (job == 0) {
-      ++frames_pulled_;
-      sm.wait_ms->record(0.0);  // the source is always available
-    } else {
-      Slot& in = slots_[static_cast<size_t>(job - 1)];
-      frame = std::move(*in.frame);
-      in.frame.reset();  // input buffer becomes free (Fig. 6)
-      sm.wait_ms->record(
-          ms_between(in.deposited, std::chrono::steady_clock::now()));
-    }
-    lock.unlock();
-    cv_.notify_all();  // freeing the input slot may enable upstream work
-
-    const auto t0 = std::chrono::steady_clock::now();
-    if (job == 0) {
-      frame = options_.source();  // serialized: slot 0 reserved
-      if (trace_->enabled()) trace_->async_begin("frame", -1, frame.sequence);
-    }
-    {
-      // Nested net.layer/gemm spans inherit the frame id via the context.
-      telemetry::ScopedTraceContext tctx(-1, frame.sequence);
-      telemetry::TraceSpan span(trace_,
-                                stage_trace_names_[static_cast<size_t>(job)],
-                                -1, frame.sequence);
-      options_.stages[static_cast<size_t>(job)].work(frame);
-    }
-    const bool is_last =
-        job == static_cast<int64_t>(options_.stages.size()) - 1;
-    if (is_last) {
-      {
-        telemetry::TraceSpan span(trace_, "sink", -1, frame.sequence);
-        options_.sink(frame);  // "the video sink is always free"
-      }
-      if (trace_->enabled())
-        trace_->async_end("frame", -1, frame.sequence,
-                          "\"outcome\":\"delivered\"");
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    sm.busy_ms->record(ms_between(t0, t1));
-    sm.jobs->add(1);
-
-    lock.lock();
-    out.reserved = false;
-    if (job == 0 && options_.collect_latency)
-      frame_start_[frame.sequence] = t0;
-    if (is_last) {
-      ++frames_sunk_;
-      if (options_.collect_latency) {
-        const auto it = frame_start_.find(frame.sequence);
-        if (it != frame_start_.end()) {
-          frame_latency_hist_->record(ms_between(it->second, t1));
-          frame_start_.erase(it);
-        }
-      }
-    } else {
-      out.frame = std::move(frame);  // stays pending until consumed
-      out.deposited = t1;
-    }
-    lock.unlock();
-    cv_.notify_all();
-    lock.lock();
-  }
+Pipeline::Pipeline(PipelineOptions options)
+    : server_(server_options(options)) {
+  TINCY_CHECK(options.source != nullptr && options.sink != nullptr);
+  serve::SessionConfig sc;
+  sc.name = "pipeline";
+  sc.stages = std::move(options.stages);
+  sc.source = std::move(options.source);
+  sc.deliver = [sink = std::move(options.sink)](video::Frame&& f) {
+    sink(f);  // "the video sink is always free"
+  };
+  session_ = server_.open_session(std::move(sc));
 }
 
 void Pipeline::run(int64_t num_frames) {
@@ -185,103 +36,15 @@ void Pipeline::run(int64_t num_frames) {
 
 void Pipeline::start(int64_t num_frames) {
   TINCY_CHECK_MSG(num_frames >= 1, "num_frames " << num_frames);
-  {
-    std::lock_guard lock(mutex_);
-    TINCY_CHECK_MSG(!running_, "start() while a run is active");
-    slots_.assign(options_.stages.size(), Slot{});
-    frames_to_pull_ = num_frames;
-    frames_pulled_ = 0;
-    frames_sunk_ = 0;
-    frames_total_ = num_frames;
-    stopping_ = false;
-    running_ = true;
-    // Reset only this pipeline's own metric objects, so the registry
-    // reflects the last run without clobbering unrelated metrics.
-    for (auto& sm : stage_metrics_) {
-      sm.busy_ms->reset();
-      sm.wait_ms->reset();
-      sm.jobs->reset();
-      sm.queue_depth->reset();
-    }
-    frame_latency_hist_->reset();
-    idle_ms_gauge_->reset();
-    frames_counter_->reset();
-    elapsed_ms_gauge_->reset();
-    fps_gauge_->reset();
-    frame_start_.clear();
-  }
-
-  run_t0_ = std::chrono::steady_clock::now();
-  workers_.reserve(static_cast<size_t>(options_.num_workers));
-  for (int w = 0; w < options_.num_workers; ++w)
-    workers_.emplace_back([this, w] { worker_loop(w); });
+  server_.start();
+  server_.pull(session_, num_frames);
 }
 
 void Pipeline::wait() {
-  // Joining guarantees every in-flight stage has completed its buffer
-  // handoff (workers only exit at the scheduler wait point, never while
-  // holding a claimed job), so finalization below reads quiescent state.
-  for (auto& t : workers_) t.join();
-  workers_.clear();
-
-  int64_t frames_done = 0;
-  {
-    std::lock_guard lock(mutex_);
-    if (!running_) return;  // nothing started, or wait() already finalized
-    running_ = false;
-    frames_done = frames_sunk_;
-  }
-  const double elapsed_ms =
-      ms_between(run_t0_, std::chrono::steady_clock::now());
-  elapsed_ms_gauge_->set(elapsed_ms);
-  frames_counter_->add(frames_done);
-  fps_gauge_->set(elapsed_ms > 0.0
-                      ? 1000.0 * static_cast<double>(frames_done) / elapsed_ms
-                      : 0.0);
-  // Mean pending frames at each stage input over the run (Little's law).
-  for (auto& sm : stage_metrics_)
-    sm.queue_depth->set(elapsed_ms > 0.0 ? sm.wait_ms->sum() / elapsed_ms
-                                         : 0.0);
+  server_.drain();
+  server_.stop();
 }
 
-void Pipeline::stop() {
-  {
-    std::lock_guard lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-}
-
-Pipeline::~Pipeline() {
-  stop();
-  wait();
-}
-
-telemetry::Snapshot Pipeline::snapshot() const { return metrics_->snapshot(); }
-
-std::vector<StageStats> Pipeline::stats() const {
-  std::vector<StageStats> out;
-  out.reserve(options_.stages.size());
-  for (size_t i = 0; i < options_.stages.size(); ++i)
-    out.push_back({options_.stages[i].name, stage_metrics_[i].jobs->value(),
-                   stage_metrics_[i].busy_ms->sum()});
-  return out;
-}
-
-double Pipeline::elapsed_seconds() const {
-  return elapsed_ms_gauge_->value() / 1000.0;
-}
-
-double Pipeline::fps() const { return fps_gauge_->value(); }
-
-double Pipeline::mean_latency_ms() const {
-  const auto s = frame_latency_hist_->stats();
-  return s.mean();
-}
-
-double Pipeline::max_latency_ms() const {
-  return frame_latency_hist_->stats().max;
-}
+void Pipeline::stop() { server_.close_session(session_); }
 
 }  // namespace tincy::pipeline

@@ -17,63 +17,37 @@
 ///  * one worker thread per available core, pinned to it (pinning is
 ///    best-effort on the host).
 ///
-/// Execution statistics are reported through the telemetry registry
-/// (metric namespace `pipeline.`); see docs/observability.md. Per run():
-///  * pipeline.stage.<name>.busy_ms   histogram, one span per job
-///  * pipeline.stage.<name>.wait_ms   histogram, input-slot dwell per job
-///  * pipeline.stage.<name>.jobs     counter == frames processed
-///  * pipeline.stage.<name>.queue_depth  gauge, mean pending frames
-///    at the stage input (Little's law: Σ wait / elapsed)
-///  * pipeline.frame_latency_ms      histogram, source pull -> sink
-///  * pipeline.workers.idle_ms       gauge, summed scheduler wait
-///  * pipeline.frames / pipeline.elapsed_ms / pipeline.fps
+/// The scheduler is serve::StreamServer's: a Pipeline is one source-fed
+/// session (named "pipeline") of a private server, so it reports the
+/// serving metrics `serve.session.pipeline.*` (frames, latency_ms, fps,
+/// stage.<name>.busy_ms / wait_ms; see docs/observability.md) and traces
+/// under session id −1.
 
-#include <chrono>
-#include <condition_variable>
+#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "serve/server.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "video/frame.hpp"
 
 namespace tincy::pipeline {
 
-/// One pipeline stage: a named in-place transformation of a frame.
-struct Stage {
-  std::string name;
-  std::function<void(video::Frame&)> work;
-};
-
-/// Per-stage execution statistics.
-/// \deprecated Adapter view derived from the telemetry snapshot; prefer
-/// Pipeline::snapshot().
-struct StageStats {
-  std::string name;
-  int64_t jobs = 0;
-  double busy_ms = 0.0;  ///< summed wall-clock time inside work()
-};
-
-/// Everything a Pipeline needs, replacing the former four positional
-/// constructor arguments.
+/// Everything a Pipeline needs.
 struct PipelineOptions {
-  std::vector<Stage> stages;
+  /// The stage chain, stage #0 first; engine tags are honoured (one
+  /// session always wins the arbiter), except on stage #0.
+  std::vector<serve::ServeStage> stages;
   /// Pulls the next raw frame (stage #0's input); invoked serially.
   std::function<video::Frame()> source;
   /// Consumes finished frames; serialized by the final stage order.
   std::function<void(const video::Frame&)> sink;
-  int num_workers = 4;       ///< worker threads (paper: 4 × A53)
-  bool pin_threads = true;   ///< best-effort core pinning (Linux)
-  bool collect_latency = true;  ///< per-frame source->sink latency spans
+  int num_workers = 4;  ///< worker threads (paper: 4 × A53)
   /// Registry to report into; null selects the process-wide default.
   telemetry::MetricsRegistry* metrics = nullptr;
   /// Trace sink for per-frame spans (async "frame" source->sink,
-  /// "stage:<name>" and "sink" complete spans); null selects
+  /// "stage:<name>" and "deliver" complete spans); null selects
   /// telemetry::TraceCollector::global(). Only emits while enabled.
   telemetry::TraceCollector* trace = nullptr;
 };
@@ -81,17 +55,6 @@ struct PipelineOptions {
 class Pipeline {
  public:
   explicit Pipeline(PipelineOptions options);
-
-  /// \deprecated Positional-argument shim; delegates to the
-  /// PipelineOptions constructor.
-  Pipeline(std::vector<Stage> stages,
-           std::function<video::Frame()> source,
-           std::function<void(const video::Frame&)> sink, int num_workers);
-
-  /// Joins any workers still running (equivalent to stop() + wait()).
-  /// A frame in flight inside a stage finishes its buffer handoff before
-  /// the slots are destroyed — destruction never races a handoff.
-  ~Pipeline();
 
   /// Processes exactly `num_frames` frames end to end; blocks until the
   /// sink has consumed the last one, then joins the workers. Resets this
@@ -104,89 +67,26 @@ class Pipeline {
   /// be called from any thread (including a stage callback).
   void start(int64_t num_frames);
 
-  /// Blocks until the run finishes (all frames sunk, or stop() observed),
-  /// joins the workers and finalizes the summary metrics. fps/elapsed
-  /// reflect the frames actually delivered to the sink.
+  /// Blocks until the run finishes (all frames sunk, or the frames in
+  /// flight at a stop() sunk) and joins the workers.
   void wait();
 
-  /// Requests an early stop: no new jobs are claimed; jobs already
-  /// executing finish and deposit their buffers normally. Idempotent,
+  /// Requests an early stop: no further frame is pulled from the source;
+  /// frames already in the pipeline run through to the sink. Idempotent,
   /// callable from any thread; wait() (or the destructor) still joins.
   void stop();
 
   /// Consistent sample of the metrics registry after the last run():
-  /// `pipeline.*` plus whatever the stages recorded (e.g. `net.layer.*`
-  /// when the stages run network layers).
-  telemetry::Snapshot snapshot() const;
-
-  /// Statistics of the last run().
-  /// \deprecated Adapter deriving StageStats from the telemetry
-  /// snapshot; prefer snapshot().
-  std::vector<StageStats> stats() const;
-
-  /// Wall-clock seconds of the last run(). Adapter over
-  /// `pipeline.elapsed_ms`.
-  double elapsed_seconds() const;
-
-  /// Frames per second achieved by the last run(). Adapter over
-  /// `pipeline.fps`.
-  double fps() const;
-
-  /// Per-frame latency (source pull to sink delivery) of the last run();
-  /// adapters over the `pipeline.frame_latency_ms` histogram.
-  double mean_latency_ms() const;
-  double max_latency_ms() const;
-
-  int num_workers() const { return options_.num_workers; }
+  /// `serve.session.pipeline.*` plus whatever the stages recorded (e.g.
+  /// `net.layer.*` when the stages run network layers).
+  telemetry::Snapshot snapshot() const { return server_.snapshot(); }
 
   /// The registry this pipeline reports into.
-  telemetry::MetricsRegistry& metrics() const { return *metrics_; }
+  telemetry::MetricsRegistry& metrics() const { return server_.metrics(); }
 
  private:
-  struct Slot {
-    std::optional<video::Frame> frame;  ///< engaged == "avail" (Fig. 6)
-    bool reserved = false;              ///< a job is producing into it
-    std::chrono::steady_clock::time_point deposited;  ///< frame arrival
-  };
-
-  /// Telemetry handles of one stage, resolved once at construction.
-  struct StageMetrics {
-    telemetry::Histogram* busy_ms;
-    telemetry::Histogram* wait_ms;
-    telemetry::Counter* jobs;
-    telemetry::Gauge* queue_depth;
-  };
-
-  /// Index of the most mature runnable stage, or -1.
-  int64_t pick_job_locked() const;
-  void worker_loop(int worker_index);
-
-  PipelineOptions options_;
-  telemetry::MetricsRegistry* metrics_;
-  telemetry::TraceCollector* trace_;
-  std::vector<std::string> stage_trace_names_;  ///< "stage:<name>" labels
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<Slot> slots_;  ///< slots_[i]: output buffer of stage i
-  int64_t frames_to_pull_ = 0;
-  int64_t frames_pulled_ = 0;
-  int64_t frames_sunk_ = 0;
-  int64_t frames_total_ = 0;
-  bool stopping_ = false;
-  bool running_ = false;  ///< workers spawned, wait() not yet completed
-
-  std::vector<std::thread> workers_;
-  std::chrono::steady_clock::time_point run_t0_;
-
-  std::vector<StageMetrics> stage_metrics_;
-  telemetry::Histogram* frame_latency_hist_;
-  telemetry::Gauge* idle_ms_gauge_;
-  telemetry::Counter* frames_counter_;
-  telemetry::Gauge* elapsed_ms_gauge_;
-  telemetry::Gauge* fps_gauge_;
-  std::unordered_map<int64_t, std::chrono::steady_clock::time_point>
-      frame_start_;                      ///< sequence -> source pull time
+  serve::StreamServer server_;
+  int64_t session_ = -1;
 };
 
 }  // namespace tincy::pipeline

@@ -2,9 +2,10 @@
 
 /// \file demo.hpp
 /// Bridges the Fig. 5 demo pipeline into the serving layer: builds a
-/// session's ServeStage chain from a network by reusing
-/// pipeline::make_demo_stages and tagging which stages contend for the
-/// shared fabric engine. Every session gets its own network instance —
+/// session's ServeStage chain from a network with
+/// pipeline::make_demo_stages and tags which stages contend for the
+/// shared fabric engine. Built into tincy_pipeline, which sits above
+/// tincy_serve. Every session gets its own network instance —
 /// sessions share no activation storage, only the (arbitrated) engine.
 
 #include <vector>

@@ -10,6 +10,10 @@
 
 #include "core/errors.hpp"
 
+#ifdef __linux__
+#include <pthread.h>
+#endif
+
 namespace tincy::serve {
 
 namespace {
@@ -19,12 +23,40 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Session names become metric-name components and flight-recorder file
-/// names: anything outside [A-Za-z0-9._-] is mapped to '_' so a name
-/// containing '"', '\', '/' or other punctuation can never corrupt a
-/// metric name, a JSON export or a dump path.
-std::string metric_label(const std::string& name) {
-  std::string out = name;
+/// "One worker thread is allocated for each available core and tied to
+/// it" (§III-F) — best-effort on the host.
+void pin_to_core(int worker_index) {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
+  CPU_SET(static_cast<unsigned>(worker_index) % ncpu, &set);
+  pthread_setaffinity_np(pthread_self(), sizeof set, &set);
+#else
+  (void)worker_index;
+#endif
+}
+
+/// Runs `fn`; returns the what() of anything it throws.
+template <class Fn>
+std::optional<std::string> guarded(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return std::string(e.what());
+  } catch (...) {
+    return std::string("non-standard exception");
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+// Names become metric-name components and flight-recorder file names, so
+// a name containing '"', '\', '/' or other punctuation can never corrupt
+// a metric name, a JSON export or a dump path.
+std::string metric_label(std::string_view name) {
+  std::string out(name);
   for (char& c : out) {
     const bool ok = std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
                     c == '_' || c == '-';
@@ -32,8 +64,6 @@ std::string metric_label(const std::string& name) {
   }
   return out;
 }
-
-}  // namespace
 
 StreamServer::StreamServer(ServerOptions options)
     : options_(std::move(options)),
@@ -67,6 +97,8 @@ int64_t StreamServer::open_session(SessionConfig cfg) {
                               << st.engine_layer
                               << " but lacks uses_engine+batch_work");
   }
+  TINCY_CHECK_MSG(!cfg.source || !cfg.stages.front().uses_engine,
+                  "stage 0 of a source-fed session must not use the engine");
   TINCY_CHECK_MSG(cfg.queue_capacity >= 1,
                   "queue_capacity " << cfg.queue_capacity);
   TINCY_CHECK_MSG(cfg.weight >= 1, "weight " << cfg.weight);
@@ -82,14 +114,19 @@ int64_t StreamServer::open_session(SessionConfig cfg) {
   // Normalize once so the session name, its metric names and its
   // flight-recorder file all agree (and stay JSON/path-safe).
   s->cfg.name = metric_label(s->cfg.name);
+  s->trace_id = s->cfg.source ? -1 : id;
   s->slots.resize(s->cfg.stages.size());
-  s->stage_trace_names.reserve(s->cfg.stages.size());
-  for (const auto& st : s->cfg.stages)
-    s->stage_trace_names.push_back("stage:" + st.name);
   const std::string prefix = "serve.session." + s->cfg.name + ".";
+  for (const auto& st : s->cfg.stages) {
+    s->stage_trace_names.push_back("stage:" + st.name);
+    const std::string stage = prefix + "stage." + metric_label(st.name);
+    s->stage_metrics.push_back({&metrics_->histogram(stage + ".busy_ms"),
+                                &metrics_->histogram(stage + ".wait_ms")});
+  }
   s->frames_counter = &metrics_->counter(prefix + "frames");
   s->latency_hist = &metrics_->histogram(prefix + "latency_ms");
   s->latency_window = &metrics_->windowed_histogram(prefix + "latency_ms.window");
+  s->fps_gauge = &metrics_->gauge(prefix + "fps");
   s->fps_window = &metrics_->windowed_rate(prefix + "fps.window");
   s->queue_depth_gauge = &metrics_->gauge(prefix + "queue_depth");
   s->rejected_counter = &metrics_->counter(prefix + "rejected");
@@ -107,12 +144,10 @@ int64_t StreamServer::open_session(SessionConfig cfg) {
 
 void StreamServer::close_session(int64_t session) {
   std::unique_lock lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  Session& s = *sessions_[static_cast<size_t>(session)];
+  Session& s = session_locked(session);
   if (s.closed) return;
   s.closed = true;
+  s.pull_budget = 0;
   // Frames that never entered the stage chain are dropped; in-flight
   // frames (slots + running stages) keep their submit_times front entries
   // and finish to delivery.
@@ -120,8 +155,8 @@ void StreamServer::close_session(int64_t session) {
   if (queued > 0) {
     if (trace_->enabled()) {
       for (const auto& f : s.queue) {
-        trace_->async_end("queue", session, f.sequence);
-        trace_->async_end("frame", session, f.sequence,
+        trace_->async_end("queue", s.trace_id, f.sequence);
+        trace_->async_end("frame", s.trace_id, f.sequence,
                           "\"outcome\":\"dropped\"");
       }
     }
@@ -137,7 +172,8 @@ void StreamServer::close_session(int64_t session) {
   arbiter_.cancel(session);
   maybe_retire_locked(session);
   lock.unlock();
-  cv_.notify_all();  // drain() may be satisfied now
+  cv_.notify_all();  // the withdrawn engine claim may unblock others
+  drained_cv_.notify_all();
 }
 
 void StreamServer::start() {
@@ -162,15 +198,14 @@ void StreamServer::start() {
   running_ = true;
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int w = 0; w < options_.num_workers; ++w)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, w] { worker_loop(w); });
 }
 
 ServeResult StreamServer::submit(int64_t session, video::Frame frame) {
   std::unique_lock lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  Session& s = *sessions_[static_cast<size_t>(session)];
+  Session& s = session_locked(session);
+  TINCY_CHECK_MSG(!s.cfg.source, "submit() to source-fed session "
+                                     << session);
   if (!running_ || stopping_) return ServeResult::kClosed;
   if (s.quarantined) return ServeResult::kQuarantined;
   if (s.closed) return ServeResult::kClosed;
@@ -217,8 +252,22 @@ ServeResult StreamServer::submit(int64_t session, video::Frame frame) {
   return ServeResult::kAccepted;
 }
 
-void StreamServer::trace_engine_granted_locked(Session& s, int64_t session,
-                                               int64_t layer) {
+ServeResult StreamServer::pull(int64_t session, int64_t frames) {
+  TINCY_CHECK_MSG(frames >= 1, "frames " << frames);
+  std::unique_lock lock(mutex_);
+  Session& s = session_locked(session);
+  TINCY_CHECK_MSG(s.cfg.source, "pull() on session " << session
+                                                    << " without a source");
+  if (!running_ || stopping_) return ServeResult::kClosed;
+  if (s.quarantined) return ServeResult::kQuarantined;
+  if (s.closed) return ServeResult::kClosed;
+  s.pull_budget += frames;
+  lock.unlock();
+  cv_.notify_all();
+  return ServeResult::kAccepted;
+}
+
+void StreamServer::trace_engine_granted_locked(Session& s, int64_t layer) {
   if (s.engine_wait_start_ms < 0) return;
   if (trace_->enabled()) {
     // The wait is only known retroactively, at grant time, and the
@@ -232,10 +281,10 @@ void StreamServer::trace_engine_granted_locked(Session& s, int64_t session,
     std::snprintf(args, sizeof args, "\"layer\":%lld,\"wait_ms\":%.3f",
                   static_cast<long long>(layer),
                   now - s.engine_wait_start_ms);
-    trace_->emit(telemetry::TracePhase::kAsyncBegin, "arbiter.wait", session,
-                 wait_id, args, 0.0, s.engine_wait_start_ms);
-    trace_->emit(telemetry::TracePhase::kAsyncEnd, "arbiter.wait", session,
-                 wait_id, args, 0.0, now);
+    trace_->emit(telemetry::TracePhase::kAsyncBegin, "arbiter.wait",
+                 s.trace_id, wait_id, args, 0.0, s.engine_wait_start_ms);
+    trace_->emit(telemetry::TracePhase::kAsyncEnd, "arbiter.wait",
+                 s.trace_id, wait_id, args, 0.0, now);
   }
   s.engine_wait_start_ms = -1.0;
 }
@@ -250,12 +299,9 @@ bool StreamServer::find_job_locked(Job& job) {
     if (s.retired || s.quarantined) continue;
     for (int64_t i = static_cast<int64_t>(s.cfg.stages.size()) - 1; i >= 0;
          --i) {
-      Slot& out = s.slots[static_cast<size_t>(i)];
-      if (out.reserved || out.frame.has_value()) continue;  // output not free
-      const bool input_ready =
-          i == 0 ? !s.queue.empty()
-                 : s.slots[static_cast<size_t>(i - 1)].frame.has_value();
-      if (!input_ready) continue;
+      if (!s.output_free(static_cast<size_t>(i)) ||
+          !s.input_ready(static_cast<size_t>(i)))
+        continue;
       const ServeStage& st = s.cfg.stages[static_cast<size_t>(i)];
       if (!st.uses_engine) {
         job.members.assign(1, Claim{static_cast<int64_t>(si), i});
@@ -272,8 +318,7 @@ bool StreamServer::find_job_locked(Job& job) {
             s.engine_wait_start_ms = trace_->now_ms();
           continue;
         }
-        trace_engine_granted_locked(s, static_cast<int64_t>(si),
-                                    st.engine_layer);
+        trace_engine_granted_locked(s, st.engine_layer);
         job.members.assign(1, Claim{static_cast<int64_t>(si), i});
         job.engine = true;
         rr_next_ = (si + 1) % n;
@@ -291,13 +336,10 @@ bool StreamServer::find_job_locked(Job& job) {
         for (int64_t m = static_cast<int64_t>(o.cfg.stages.size()) - 1;
              m >= 0; --m) {
           const ServeStage& om = o.cfg.stages[static_cast<size_t>(m)];
-          if (!om.uses_engine || om.engine_layer != st.engine_layer) continue;
-          Slot& oout = o.slots[static_cast<size_t>(m)];
-          if (oout.reserved || oout.frame.has_value()) continue;
-          const bool oready =
-              m == 0 ? !o.queue.empty()
-                     : o.slots[static_cast<size_t>(m - 1)].frame.has_value();
-          if (!oready) continue;
+          if (!om.uses_engine || om.engine_layer != st.engine_layer ||
+              !o.output_free(static_cast<size_t>(m)) ||
+              !o.input_ready(static_cast<size_t>(m)))
+            continue;
           cands.push_back(static_cast<int64_t>(oj));
           cand_stage[oj] = m;
           break;  // deepest runnable same-layer stage of this session
@@ -310,8 +352,7 @@ bool StreamServer::find_job_locked(Job& job) {
           s.engine_wait_start_ms = trace_->now_ms();
         continue;
       }
-      trace_engine_granted_locked(s, static_cast<int64_t>(si),
-                                  st.engine_layer);
+      trace_engine_granted_locked(s, st.engine_layer);
       job.members.clear();
       job.members.push_back(Claim{static_cast<int64_t>(si), i});
       for (size_t g = 1; g < gang.size(); ++g)
@@ -325,7 +366,8 @@ bool StreamServer::find_job_locked(Job& job) {
   return false;
 }
 
-void StreamServer::worker_loop() {
+void StreamServer::worker_loop(int worker_index) {
+  pin_to_core(worker_index);
   std::unique_lock lock(mutex_);
   while (true) {
     Job job;
@@ -351,35 +393,44 @@ void StreamServer::worker_loop() {
     std::vector<video::Frame> frames(nm);
     std::vector<int64_t> seqs(nm, -1);
     std::vector<Session*> member_sessions(nm);
+    const auto claimed = std::chrono::steady_clock::now();
     for (size_t m = 0; m < nm; ++m) {
       Session& ms = *sessions_[static_cast<size_t>(job.members[m].session)];
       member_sessions[m] = &ms;
-      Slot& mout = ms.slots[static_cast<size_t>(job.members[m].stage)];
-      mout.reserved = true;
-      if (job.members[m].stage == 0) {
+      const auto stage = static_cast<size_t>(job.members[m].stage);
+      ms.slots[stage].reserved = true;
+      double wait_ms = 0.0;
+      if (stage == 0 && ms.cfg.source) {
+        // The source is always available: the frame is captured once the
+        // lock drops, and counts as admitted from now on.
+        --ms.pull_budget;
+        ++ms.admitted;
+        ms.submit_times.push_back(claimed);
+      } else if (stage == 0) {
         // Admission-queue dwell of the claimed frame: its submission
         // timestamp sits right after the in-flight block. Feeds the
         // Little's-law queue_depth gauge (Σ dwell / elapsed) and closes
         // the frame's "queue" trace span.
-        const auto now = std::chrono::steady_clock::now();
         const size_t in_flight = ms.submit_times.size() - ms.queue.size();
-        const double dwell = ms_between(ms.submit_times[in_flight], now);
-        ms.queue_wait_ms += dwell;
+        wait_ms = ms_between(ms.submit_times[in_flight], claimed);
+        ms.queue_wait_ms += wait_ms;
         ms.queue_depth_gauge->set(
-            ms.queue_wait_ms / std::max(ms_between(start_time_, now), 1e-6));
+            ms.queue_wait_ms /
+            std::max(ms_between(start_time_, claimed), 1e-6));
         frames[m] = std::move(ms.queue.front());
         ms.queue.pop_front();
         if (trace_->enabled()) {
           char args[48];
-          std::snprintf(args, sizeof args, "\"dwell_ms\":%.3f", dwell);
-          trace_->async_end("queue", job.members[m].session,
-                            frames[m].sequence, args);
+          std::snprintf(args, sizeof args, "\"dwell_ms\":%.3f", wait_ms);
+          trace_->async_end("queue", ms.trace_id, frames[m].sequence, args);
         }
       } else {
-        Slot& min = ms.slots[static_cast<size_t>(job.members[m].stage - 1)];
-        frames[m] = std::move(*min.frame);
-        min.frame.reset();  // input buffer becomes free (Fig. 6)
+        Slot& in = ms.slots[stage - 1];
+        wait_ms = ms_between(in.deposited, claimed);
+        frames[m] = std::move(*in.frame);
+        in.frame.reset();  // input buffer becomes free (Fig. 6)
       }
+      ms.stage_metrics[stage].wait_ms->record(wait_ms);
       seqs[m] = frames[m].sequence;
     }
     if (job.engine && trace_->enabled()) {
@@ -391,39 +442,46 @@ void StreamServer::worker_loop() {
       std::snprintf(args, sizeof args,
                     "\"role\":\"leader\",\"grant\":%lld,\"batch\":%zu",
                     static_cast<long long>(grant), nm);
-      trace_->instant("gang", job.members[0].session, seqs[0], args);
+      trace_->instant("gang", member_sessions[0]->trace_id, seqs[0], args);
       for (size_t m = 1; m < nm; ++m) {
         std::snprintf(args, sizeof args,
                       "\"role\":\"member\",\"grant\":%lld",
                       static_cast<long long>(grant));
-        trace_->instant("gang", job.members[m].session, seqs[m], args);
+        trace_->instant("gang", member_sessions[m]->trace_id, seqs[m], args);
       }
     }
     lock.unlock();
     cv_.notify_all();  // freed queue space / input slots enable upstream
+    const auto t0 = std::chrono::steady_clock::now();
 
     // The leader's callback runs the whole gang: one engine hold, one
     // weight-streaming phase. A throw faults every member — their frames
     // were in the same pass.
     Session& ls = *member_sessions[0];
-    const ServeStage& lstage =
-        ls.cfg.stages[static_cast<size_t>(job.members[0].stage)];
-    bool faulted = false;
-    std::string fault;
-    {
+    const auto lstage_index = static_cast<size_t>(job.members[0].stage);
+    const ServeStage& lstage = ls.cfg.stages[lstage_index];
+    std::optional<std::string> fault;
+    bool frame_began = true;  // false once a source pull has thrown
+    if (lstage_index == 0 && ls.cfg.source) {
+      // Engine-free by validation, so never a gang: one member.
+      fault = guarded([&] { frames[0] = ls.cfg.source(); });
+      frame_began = !fault;
+      seqs[0] = frames[0].sequence;
+      if (frame_began && trace_->enabled())
+        trace_->async_begin("frame", ls.trace_id, seqs[0]);
+    }
+    if (!fault) {
       // Deep spans (net.layer, fabric, gemm) inherit the leader's frame
       // identity through the thread-local context.
-      telemetry::ScopedTraceContext tctx(job.members[0].session, seqs[0]);
-      telemetry::TraceSpan span(
-          trace_, ls.stage_trace_names[static_cast<size_t>(
-                      job.members[0].stage)],
-          job.members[0].session, seqs[0]);
+      telemetry::ScopedTraceContext tctx(ls.trace_id, seqs[0]);
+      telemetry::TraceSpan span(trace_, ls.stage_trace_names[lstage_index],
+                                ls.trace_id, seqs[0]);
       if (span.active()) {
         char args[32];
         std::snprintf(args, sizeof args, "\"batch\":%zu", nm);
         span.set_args(args);
       }
-      try {
+      fault = guarded([&] {
         if (nm > 1 || !lstage.work) {
           std::vector<video::Frame*> ptrs(nm);
           for (size_t m = 0; m < nm; ++m) ptrs[m] = &frames[m];
@@ -431,100 +489,95 @@ void StreamServer::worker_loop() {
         } else {
           lstage.work(frames[0]);
         }
-      } catch (const std::exception& e) {
-        faulted = true;
-        fault = e.what();
-      } catch (...) {
-        faulted = true;
-        fault = "non-standard exception";
-      }
+      });
     }
-    std::vector<char> member_faulted(nm, faulted ? 1 : 0);
-    std::vector<std::string> member_fault(nm, fault);
+    const double busy_ms = ms_between(t0, std::chrono::steady_clock::now());
+    std::vector<std::optional<std::string>> member_fault(nm, fault);
     // Delivery happens outside the lock but is serialized per session by
     // the reserved last-stage slot, so results leave in order. A sibling
     // stage may have poisoned a session while its frame was in the
     // stage; nothing is delivered past the poison point.
     for (size_t m = 0; m < nm; ++m) {
-      if (member_faulted[m]) continue;
       Session& ms = *member_sessions[m];
-      const bool last = job.members[m].stage ==
-                        static_cast<int64_t>(ms.cfg.stages.size()) - 1;
+      const auto stage = static_cast<size_t>(job.members[m].stage);
+      ms.stage_metrics[stage].busy_ms->record(busy_ms);
+      if (member_fault[m]) continue;
+      const bool last = stage == ms.cfg.stages.size() - 1;
       if (!last || !ms.cfg.deliver) continue;
       lock.lock();
       const bool deliverable = !ms.quarantined;
       lock.unlock();
       if (!deliverable) continue;
-      telemetry::TraceSpan deliver_span(trace_, "deliver",
-                                        job.members[m].session, seqs[m]);
-      try {
-        ms.cfg.deliver(std::move(frames[m]));
-      } catch (const std::exception& e) {
-        member_faulted[m] = 1;
-        member_fault[m] = e.what();
-      } catch (...) {
-        member_faulted[m] = 1;
-        member_fault[m] = "non-standard exception";
-      }
+      telemetry::TraceSpan deliver_span(trace_, "deliver", ms.trace_id,
+                                        seqs[m]);
+      member_fault[m] =
+          guarded([&] { ms.cfg.deliver(std::move(frames[m])); });
     }
     // One release covers the whole gang (the leader held the engine).
     if (job.engine) arbiter_.release(job.members[0].session);
 
     lock.lock();
+    const auto done = std::chrono::steady_clock::now();
+    bool drained = false;  // a member session has nothing left to run
     for (size_t m = 0; m < nm; ++m) {
       Session& ms = *member_sessions[m];
-      Slot& mout = ms.slots[static_cast<size_t>(job.members[m].stage)];
-      mout.reserved = false;
-      const bool last = job.members[m].stage ==
-                        static_cast<int64_t>(ms.cfg.stages.size()) - 1;
-      if (member_faulted[m]) {
-        if (trace_->enabled())
-          trace_->async_end("frame", job.members[m].session, seqs[m],
+      const int64_t session = job.members[m].session;
+      const auto stage = static_cast<size_t>(job.members[m].stage);
+      Slot& out = ms.slots[stage];
+      out.reserved = false;
+      const bool last = stage == ms.cfg.stages.size() - 1;
+      if (member_fault[m]) {
+        if (trace_->enabled() && (m > 0 || frame_began))
+          trace_->async_end("frame", ms.trace_id, seqs[m],
                             "\"outcome\":\"fault\"");
-        quarantine_locked(job.members[m].session, member_fault[m]);
+        quarantine_locked(session, *member_fault[m]);
         ++ms.discarded;  // the frame this worker was carrying
         ms.dropped_counter->add(1);
       } else if (ms.quarantined) {
         if (trace_->enabled())
-          trace_->async_end("frame", job.members[m].session, seqs[m],
+          trace_->async_end("frame", ms.trace_id, seqs[m],
                             "\"outcome\":\"dropped\"");
         ++ms.discarded;  // poisoned while in flight — never counted delivered
         ms.dropped_counter->add(1);
       } else if (last) {
         ++ms.done;
         ms.frames_counter->add(1);
-        const double latency_ms = ms_between(
-            ms.submit_times.front(), std::chrono::steady_clock::now());
+        const double latency_ms = ms_between(ms.submit_times.front(), done);
         ms.latency_hist->record(latency_ms);
         ms.latency_window->record(latency_ms);
+        ms.fps_gauge->set(static_cast<double>(ms.done) * 1000.0 /
+                          std::max(ms_between(start_time_, done), 1e-6));
         ms.fps_window->add(1);
         ms.submit_times.pop_front();
         if (trace_->enabled())
-          trace_->async_end("frame", job.members[m].session, seqs[m],
+          trace_->async_end("frame", ms.trace_id, seqs[m],
                             "\"outcome\":\"delivered\"");
       } else {
-        mout.frame = std::move(frames[m]);
+        out.frame = std::move(frames[m]);
+        out.deposited = done;
       }
-      if (ms.closed || ms.quarantined) maybe_retire_locked(job.members[m].session);
+      if (ms.closed || ms.quarantined) maybe_retire_locked(session);
+      drained |= ms.done + ms.discarded == ms.admitted && ms.pull_budget == 0;
     }
     lock.unlock();
-    cv_.notify_all();  // deposited outputs / deliveries may unblock drain()
+    cv_.notify_all();  // deposited outputs enable downstream stages
+    if (drained) drained_cv_.notify_all();
     lock.lock();
   }
 }
 
-void StreamServer::trace_drop_owned_locked(const Session& s, int64_t session,
+void StreamServer::trace_drop_owned_locked(const Session& s,
                                            const char* outcome) {
   if (!trace_->enabled()) return;
   char args[48];
   std::snprintf(args, sizeof args, "\"outcome\":\"%s\"", outcome);
   for (const auto& f : s.queue) {
-    trace_->async_end("queue", session, f.sequence);
-    trace_->async_end("frame", session, f.sequence, args);
+    trace_->async_end("queue", s.trace_id, f.sequence);
+    trace_->async_end("frame", s.trace_id, f.sequence, args);
   }
   for (const auto& slot : s.slots)
     if (slot.frame.has_value())
-      trace_->async_end("frame", session, slot.frame->sequence, args);
+      trace_->async_end("frame", s.trace_id, slot.frame->sequence, args);
 }
 
 void StreamServer::flight_record_locked(const Session& s, int64_t session,
@@ -555,7 +608,7 @@ void StreamServer::flight_record_locked(const Session& s, int64_t session,
   }
   header += '"';
   const auto tail = trace_->session_tail(
-      session, static_cast<size_t>(options_.flight_recorder_events));
+      s.trace_id, static_cast<size_t>(options_.flight_recorder_events));
   try {
     std::filesystem::create_directories(options_.flight_recorder_dir);
     const std::string path =
@@ -577,9 +630,10 @@ void StreamServer::quarantine_locked(int64_t session,
   s.quarantined = true;
   s.last_fault = what;
   s.quarantined_gauge->set(1.0);
-  trace_drop_owned_locked(s, session, "dropped");
+  s.pull_budget = 0;
+  trace_drop_owned_locked(s, "dropped");
   if (trace_->enabled())
-    trace_->instant("quarantine", session, -1);
+    trace_->instant("quarantine", s.trace_id, -1);
   // The post-mortem is cut before the owned frames are cleared so their
   // final events are part of the dump.
   flight_record_locked(s, session, what);
@@ -627,11 +681,17 @@ void StreamServer::reset_session_locked(Session& s) {
   s.quarantined = false;
   s.retired = false;
   s.last_fault.clear();
+  s.pull_budget = 0;
   s.queue_wait_ms = 0.0;
   s.engine_wait_start_ms = -1.0;
+  for (auto& sm : s.stage_metrics) {
+    sm.busy_ms->reset();
+    sm.wait_ms->reset();
+  }
   s.frames_counter->reset();
   s.latency_hist->reset();
   s.latency_window->reset();
+  s.fps_gauge->set(0.0);
   s.fps_window->reset();
   s.queue_depth_gauge->set(0.0);
   s.rejected_counter->reset();
@@ -644,10 +704,11 @@ void StreamServer::reset_session_locked(Session& s) {
 
 void StreamServer::drain() {
   std::unique_lock lock(mutex_);
-  cv_.wait(lock, [&] {
+  drained_cv_.wait(lock, [&] {
     if (stopping_ || !running_) return true;
     for (const auto& s : sessions_)
-      if (s->done + s->discarded != s->admitted) return false;
+      if (s->done + s->discarded != s->admitted || s->pull_budget > 0)
+        return false;
     return true;
   });
 }
@@ -660,6 +721,7 @@ void StreamServer::stop() {
     to_join.swap(workers_);
   }
   cv_.notify_all();
+  drained_cv_.notify_all();
   // Joining guarantees in-flight stages finished their buffer handoff
   // (workers only exit at the scheduler wait point) before session state
   // is touched below or the server is destroyed.
@@ -683,53 +745,41 @@ int64_t StreamServer::num_sessions() const {
   return static_cast<int64_t>(sessions_.size());
 }
 
-int64_t StreamServer::queue_depth(int64_t session) const {
-  std::lock_guard lock(mutex_);
+StreamServer::Session& StreamServer::session_locked(int64_t session) const {
   TINCY_CHECK_MSG(
       session >= 0 && session < static_cast<int64_t>(sessions_.size()),
       "unknown session " << session);
-  return static_cast<int64_t>(
-      sessions_[static_cast<size_t>(session)]->queue.size());
+  return *sessions_[static_cast<size_t>(session)];
+}
+
+int64_t StreamServer::queue_depth(int64_t session) const {
+  std::lock_guard lock(mutex_);
+  return static_cast<int64_t>(session_locked(session).queue.size());
 }
 
 int64_t StreamServer::delivered(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->done;
+  return session_locked(session).done;
 }
 
 int64_t StreamServer::rejected(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->rejected_counter->value();
+  return session_locked(session).rejected_counter->value();
 }
 
 bool StreamServer::closed(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->closed;
+  return session_locked(session).closed;
 }
 
 bool StreamServer::quarantined(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->quarantined;
+  return session_locked(session).quarantined;
 }
 
 std::string StreamServer::fault_message(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->last_fault;
+  return session_locked(session).last_fault;
 }
 
 }  // namespace tincy::serve

@@ -31,13 +31,25 @@
 ///    session — queued frames are discarded, the session stops accepting
 ///    submissions, and every other stream keeps flowing. A batch_work
 ///    that throws poisons every session in the gang (their frames were in
-///    the same engine pass).
+///    the same engine pass);
+///  * a session may instead be fed by a pull source, the paper's
+///    always-available video source (SessionConfig::source): the worker
+///    that claims its stage 0 captures the next frame, while pull()
+///    grants budget. pipeline::Pipeline is exactly one such session;
+///  * one worker per core, pinned to it (best-effort on the host), as in
+///    the paper's demo mode.
 ///
 /// Telemetry (see docs/observability.md):
 ///   serve.session.<name>.frames      counter, frames delivered
 ///   serve.session.<name>.latency_ms  histogram, submit -> delivery
 ///   serve.session.<name>.latency_ms.window  last-10s sliding histogram
+///   serve.session.<name>.fps         gauge, deliveries/s since start()
 ///   serve.session.<name>.fps.window  gauge, deliveries/s over last 10 s
+///   serve.session.<name>.stage.<stage>.busy_ms  histogram, stage job
+///                                    time, one sample per frame
+///   serve.session.<name>.stage.<stage>.wait_ms  histogram, input dwell
+///                                    (upstream deposit or admission ->
+///                                    claim; 0 for a pull source)
 ///   serve.session.<name>.queue_depth gauge, Little's-law mean admission-
 ///                                    queue depth (Σ queue-wait / elapsed)
 ///   serve.session.<name>.rejected    counter, kOverloaded submissions
@@ -53,6 +65,8 @@
 /// is enabled, every frame leaves an async "frame" span (submit ->
 /// delivery/drop), an async "queue" span (admission dwell), per-stage
 /// "stage:<name>" spans, "arbiter.wait" spans, and "gang" seat instants.
+/// A source-fed session traces under session id −1, the id of the
+/// single-stream demo, and its frames have no "queue" span.
 /// When a session is quarantined and flight_recorder_dir is set, the
 /// last flight_recorder_events trace events touching that session plus
 /// the fault message are dumped to
@@ -68,6 +82,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -77,6 +92,11 @@
 #include "video/frame.hpp"
 
 namespace tincy::serve {
+
+/// A session or stage name as it appears in metric names and
+/// flight-recorder file names: characters outside [A-Za-z0-9._-] become
+/// '_'.
+std::string metric_label(std::string_view name);
 
 /// Outcome of a frame submission.
 enum class ServeResult {
@@ -105,6 +125,8 @@ enum class OverloadPolicy {
 /// run only while the session holds the fabric engine grant; everything
 /// else overlaps freely across sessions. A stage that throws poisons its
 /// session: the session is quarantined, never the server.
+/// Every field after `work` has a default, so `{name, work}` and
+/// `{name, work, uses_engine}` spell a plain stage.
 struct ServeStage {
   std::string name;
   std::function<void(video::Frame&)> work;
@@ -115,7 +137,7 @@ struct ServeStage {
   /// hold, so sessions that declare the same engine_layer must install
   /// equivalent batch_work (same offloaded layer, shared weights). A lone
   /// grant runs `work` when present, otherwise batch_work on a 1-span.
-  std::function<void(std::span<video::Frame* const>)> batch_work;
+  std::function<void(std::span<video::Frame* const>)> batch_work = nullptr;
   /// Identity of the offloaded layer this stage runs, for gang
   /// coalescing: engine stages of different sessions with the same
   /// engine_layer may be batched into one grant. −1 = unbatchable
@@ -136,6 +158,11 @@ struct SessionConfig {
   /// In-order delivery hook; invoked from worker threads, never
   /// concurrently for the same session.
   std::function<void(video::Frame&&)> deliver;
+  /// Pull source: when set, the session takes no submit()ted frames.
+  /// Instead the worker that claims stage 0 calls source() for the next
+  /// frame, as long as the budget granted by pull() lasts; the stage-0
+  /// slot serializes the calls. Stage 0 must then be a CPU stage.
+  std::function<video::Frame()> source;
   /// Under OverloadPolicy::kDegrade: applied to a frame at admission when
   /// the queue is past the pressure mark. Runs inside submit() under the
   /// server lock — keep it cheap (flip a resolution flag, subsample) and
@@ -179,9 +206,10 @@ class StreamServer {
 
   /// Registers a stream — before start() or live, mid-serve (churn).
   /// Validates the config (stages non-empty, each stage has work or
-  /// batch_work, batch_work/engine_layer only on engine stages,
-  /// queue_capacity >= 1, weight >= 1, priority >= 0). Returns the
-  /// session id used by submit()/accessors; ids are never reused.
+  /// batch_work, batch_work/engine_layer only on engine stages, no engine
+  /// stage 0 under a source, queue_capacity >= 1, weight >= 1,
+  /// priority >= 0). Returns the session id used by submit()/accessors;
+  /// ids are never reused.
   int64_t open_session(SessionConfig cfg);
 
   /// Closes a stream (idempotent): queued frames that never started are
@@ -199,11 +227,15 @@ class StreamServer {
 
   /// Admits one frame into the session's queue, applying the overload
   /// policy when the queue is full. Thread safe; any number of producer
-  /// threads may submit concurrently.
+  /// threads may submit concurrently. Not for source-fed sessions.
   ServeResult submit(int64_t session, video::Frame frame);
 
+  /// Lets a source-fed session capture `frames` more frames from its
+  /// source. start(), close_session() and quarantine reset the budget.
+  ServeResult pull(int64_t session, int64_t frames);
+
   /// Blocks until every admitted frame has been delivered or discarded
-  /// (or stop() is requested from elsewhere).
+  /// and every pull budget is spent (or stop() is requested elsewhere).
   void drain();
 
   void stop();
@@ -227,10 +259,20 @@ class StreamServer {
   struct Slot {
     std::optional<video::Frame> frame;
     bool reserved = false;
+    std::chrono::steady_clock::time_point deposited;  ///< frame arrival
+  };
+
+  struct StageMetrics {
+    telemetry::Histogram* busy_ms;
+    telemetry::Histogram* wait_ms;
   };
 
   struct Session {
     SessionConfig cfg;
+    /// Session id on trace events: −1 when source-fed, else the id.
+    int64_t trace_id = -1;
+    /// Source pulls left (source-fed sessions only).
+    int64_t pull_budget = 0;
     std::deque<video::Frame> queue;  ///< admission queue (pre stage 0)
     /// Submission timestamps of undelivered, undiscarded frames in
     /// admission order: the in-flight frames first, then the queued ones.
@@ -255,9 +297,11 @@ class StreamServer {
     double engine_wait_start_ms = -1.0;
     /// Pre-built "stage:<name>" span labels, one per stage.
     std::vector<std::string> stage_trace_names;
+    std::vector<StageMetrics> stage_metrics;
     telemetry::Counter* frames_counter;
     telemetry::Histogram* latency_hist;
     telemetry::WindowedHistogram* latency_window;
+    telemetry::Gauge* fps_gauge;
     telemetry::WindowedRate* fps_window;
     telemetry::Gauge* queue_depth_gauge;
     telemetry::Counter* rejected_counter;
@@ -266,6 +310,14 @@ class StreamServer {
     telemetry::Counter* dropped_counter;
     telemetry::Counter* faults_counter;
     telemetry::Gauge* quarantined_gauge;
+
+    bool output_free(size_t stage) const {
+      return !slots[stage].reserved && !slots[stage].frame.has_value();
+    }
+    bool input_ready(size_t stage) const {
+      if (stage > 0) return slots[stage - 1].frame.has_value();
+      return cfg.source ? pull_budget > 0 : !queue.empty();
+    }
   };
 
   /// One (session, stage) membership of a claimed job.
@@ -289,7 +341,11 @@ class StreamServer {
   /// verified under this lock and offered to the arbiter as candidates. A
   /// denial skips the stage, leaving a pending claim with the arbiter.
   bool find_job_locked(Job& job);
-  void worker_loop();
+  /// Pins itself to core `worker_index` (best-effort), then claims and
+  /// runs jobs until stop().
+  void worker_loop(int worker_index);
+  /// The session with this id; throws on an unknown id.
+  Session& session_locked(int64_t session) const;
   /// Poisons the session: discards its queued and slot-held frames,
   /// withdraws its engine claim and stops admissions. Server keeps going.
   void quarantine_locked(int64_t session, const std::string& what);
@@ -299,12 +355,10 @@ class StreamServer {
   void reset_session_locked(Session& s);
   /// Emits async-end events for every frame the session still owns
   /// (queued + slot deposits) with the given outcome. Trace-gated.
-  void trace_drop_owned_locked(const Session& s, int64_t session,
-                               const char* outcome);
+  void trace_drop_owned_locked(const Session& s, const char* outcome);
   /// Closes a pending "arbiter.wait" span when an engine claim that was
   /// previously denied finally succeeds. Trace-gated.
-  void trace_engine_granted_locked(Session& s, int64_t session,
-                                   int64_t layer);
+  void trace_engine_granted_locked(Session& s, int64_t layer);
   /// Writes the flight-recorder post-mortem for a quarantined session.
   void flight_record_locked(const Session& s, int64_t session,
                             const std::string& what);
@@ -315,7 +369,10 @@ class StreamServer {
   EngineArbiter arbiter_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  ///< workers: claimable work may exist
+  /// drain(): a session ran out of work, or the server stopped. Apart
+  /// from cv_, so a drain()ing caller sleeps through the frames.
+  std::condition_variable drained_cv_;
   std::vector<std::unique_ptr<Session>> sessions_;
   std::vector<std::thread> workers_;
   size_t rr_next_ = 0;  ///< next session the job scan starts from

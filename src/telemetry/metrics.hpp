@@ -6,17 +6,17 @@
 ///
 /// The paper's headline results are per-stage numbers — the Table III
 /// stage latencies, the Fig. 6 pipeline occupancy, the §III speedup
-/// ladder. This subsystem gives every hot path (Network::forward,
-/// Pipeline::worker_loop, OffloadLayer::forward, the gemm kernels) one
-/// way to report them, replacing the previously scattered ad-hoc timing
-/// (pipeline::StageStats, Network::last_layer_ms, DemoResult fields),
-/// which are now thin adapters over a telemetry::Snapshot.
+/// ladder. This subsystem gives every hot path (Network::forward, the
+/// serve::StreamServer workers behind the demo pipeline,
+/// OffloadLayer::forward, the gemm kernels) one way to report them; a
+/// telemetry::Snapshot is the only stats surface.
 ///
 /// Naming convention (see docs/observability.md):
 ///   net.forward.ms              whole-network forward latency
 ///   net.layer.<i>.<type>.ms     per-layer latency (Table III rows)
-///   pipeline.stage.<name>.*     busy_ms / wait_ms / jobs / queue_depth
-///   pipeline.frame_latency_ms   source pull -> sink delivery
+///   serve.session.<name>.*      frames / latency_ms / fps and
+///                               stage.<stage>.busy_ms / wait_ms (the
+///                               demo pipeline is session "pipeline")
 ///   offload.<library>.*         forward_ms / frames / ops per backend
 ///   gemm.*                      im2col vs. GEMM split of the conv paths
 
@@ -183,8 +183,7 @@ struct HistogramSample {
 };
 
 /// The one stats surface every component returns: a consistent,
-/// name-sorted sample of a registry. Pipeline::stats(),
-/// Network::last_layer_ms() and DemoResult are adapters over this.
+/// name-sorted sample of a registry.
 struct Snapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;

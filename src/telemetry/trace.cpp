@@ -25,7 +25,8 @@ uint64_t next_instance_id() {
 
 void copy_bounded(char* dst, size_t cap, std::string_view src) {
   const size_t n = std::min(src.size(), cap - 1);
-  std::memcpy(dst, src.data(), n);
+  // An empty string_view may hold a null data(), which memcpy must not see.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

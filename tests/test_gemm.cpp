@@ -60,19 +60,6 @@ TEST(GemmBlocked, CrossesTileBoundaries) {
     EXPECT_NEAR(got[i], expected[i], 1e-3f) << i;
 }
 
-TEST_P(GemmProperty, LowpLanesBitIdenticalToScalar) {
-  const auto [M, N, K] = GetParam();
-  Rng rng(37);
-  std::vector<uint8_t> a(static_cast<size_t>(M * K)), b(static_cast<size_t>(K * N));
-  for (auto& v : a) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-  for (auto& v : b) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-  const int32_t za = 12, zb = 200;
-  std::vector<int32_t> ref(static_cast<size_t>(M * N)), got(static_cast<size_t>(M * N));
-  gemm_lowp_i32(M, N, K, a.data(), za, b.data(), zb, ref.data());
-  gemm_lowp_i32_lanes(M, N, K, a.data(), za, b.data(), zb, got.data());
-  EXPECT_EQ(ref, got);
-}
-
 INSTANTIATE_TEST_SUITE_P(Dims, GemmProperty,
                          ::testing::Values(Dims{1, 1, 1}, Dims{2, 8, 3},
                                            Dims{4, 7, 5}, Dims{16, 27, 27},

@@ -261,7 +261,11 @@ TEST(Network, ForwardChainsShapes) {
   const Tensor in = random_tensor(rng, Shape{3, 16, 16});
   const Tensor& out = net.forward(in);
   EXPECT_EQ(out.shape(), Shape({4, 8, 8}));
-  EXPECT_GE(net.last_layer_ms(0), 0.0);
+  const auto snap = net.snapshot();
+  const auto* layer0 = snap.find_histogram("net.layer.0.convolutional.ms");
+  ASSERT_NE(layer0, nullptr);
+  EXPECT_EQ(layer0->stats.count, 1);
+  EXPECT_GE(layer0->stats.last, 0.0);
 }
 
 TEST(WeightsIO, RoundTripThroughStream) {

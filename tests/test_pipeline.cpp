@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <mutex>
 #include <thread>
 
 #include "pipeline/demo.hpp"
@@ -17,19 +19,46 @@ video::Frame make_frame(int64_t seq) {
   return f;
 }
 
+using Stages = std::vector<serve::ServeStage>;
+
+/// Options for a pipeline whose source numbers frames 0, 1, 2, ...
+PipelineOptions counting(Stages stages, std::atomic<int64_t>& next,
+                         std::function<void(const video::Frame&)> sink,
+                         int workers) {
+  PipelineOptions po;
+  po.stages = std::move(stages);
+  po.source = [&next] { return make_frame(next++); };
+  po.sink = std::move(sink);
+  po.num_workers = workers;
+  return po;
+}
+
+/// Stats of the pipeline session's histogram `name`.
+telemetry::HistogramStats histogram(const Pipeline& p,
+                                    const std::string& name) {
+  const auto snap = p.snapshot();
+  const auto* h = snap.find_histogram("serve.session.pipeline." + name);
+  TINCY_CHECK_MSG(h != nullptr, name);
+  return h->stats;
+}
+
+double fps(const Pipeline& p) {
+  return p.snapshot().gauge_value("serve.session.pipeline.fps");
+}
+
 class ThreadedPipeline : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreadedPipeline, PreservesFrameOrder) {
   const int workers = GetParam();
   std::atomic<int64_t> next{0};
   video::OrderCheckingSink sink;
-  std::vector<Stage> stages;
+  Stages stages;
   for (int s = 0; s < 5; ++s)
     stages.push_back({"s" + std::to_string(s), [](video::Frame&) {}});
 
-  Pipeline p(
-      stages, [&next] { return make_frame(next++); },
-      [&sink](const video::Frame& f) { sink.push(f); }, workers);
+  Pipeline p(counting(
+      stages, next, [&sink](const video::Frame& f) { sink.push(f); },
+      workers));
   p.run(100);
   EXPECT_EQ(sink.frames_received(), 100);
   EXPECT_TRUE(sink.in_order());
@@ -44,7 +73,7 @@ TEST(Pipeline, StagesTransformFramesInOrder) {
   // Each stage appends its id into the frame's features tensor slot;
   // the sink must observe all stages applied exactly once, in order.
   std::atomic<int64_t> next{0};
-  std::vector<Stage> stages;
+  Stages stages;
   for (int s = 0; s < 4; ++s) {
     stages.push_back({"s" + std::to_string(s), [s](video::Frame& f) {
                         Tensor t(Shape{f.features.numel() + 1});
@@ -56,14 +85,14 @@ TEST(Pipeline, StagesTransformFramesInOrder) {
   }
   std::vector<std::vector<float>> seen;
   std::mutex m;
-  Pipeline p(
-      stages, [&next] { return make_frame(next++); },
+  Pipeline p(counting(
+      stages, next,
       [&](const video::Frame& f) {
         std::lock_guard lock(m);
         seen.emplace_back(f.features.data(),
                           f.features.data() + f.features.numel());
       },
-      3);
+      3));
   p.run(20);
   ASSERT_EQ(seen.size(), 20u);
   for (const auto& trace : seen) {
@@ -74,7 +103,7 @@ TEST(Pipeline, StagesTransformFramesInOrder) {
 
 TEST(Pipeline, LatencyTracked) {
   std::atomic<int64_t> next{0};
-  std::vector<Stage> stages;
+  Stages stages;
   for (int s = 0; s < 3; ++s) {
     stages.push_back({"s" + std::to_string(s), [](video::Frame&) {
                         const auto end = std::chrono::steady_clock::now() +
@@ -83,30 +112,22 @@ TEST(Pipeline, LatencyTracked) {
                         }
                       }});
   }
-  Pipeline p(
-      stages,
-      [&next] {
-        video::Frame f;
-        f.sequence = next++;
-        return f;
-      },
-      [](const video::Frame&) {}, 2);
+  Pipeline p(counting(stages, next, [](const video::Frame&) {}, 2));
   p.run(10);
   // Three 2 ms stages: latency at least ~6 ms, mean <= max.
-  EXPECT_GE(p.mean_latency_ms(), 5.0);
-  EXPECT_GE(p.max_latency_ms(), p.mean_latency_ms());
+  const auto latency = histogram(p, "latency_ms");
+  EXPECT_EQ(latency.count, 10);
+  EXPECT_GE(latency.mean(), 5.0);
+  EXPECT_GE(latency.max, latency.mean());
 }
 
 TEST(Pipeline, StatsAccumulate) {
   std::atomic<int64_t> next{0};
-  std::vector<Stage> stages{{"only", [](video::Frame&) {}}};
-  Pipeline p(
-      stages, [&next] { return make_frame(next++); },
-      [](const video::Frame&) {}, 2);
+  Pipeline p(counting({{"only", [](video::Frame&) {}}}, next,
+                      [](const video::Frame&) {}, 2));
   p.run(10);
-  ASSERT_EQ(p.stats().size(), 1u);
-  EXPECT_EQ(p.stats()[0].jobs, 10);
-  EXPECT_GT(p.fps(), 0.0);
+  EXPECT_EQ(histogram(p, "stage.only.busy_ms").count, 10);
+  EXPECT_GT(fps(p), 0.0);
 }
 
 TEST(Pipeline, StopMidStreamIsCleanAndRepeatable) {
@@ -118,19 +139,19 @@ TEST(Pipeline, StopMidStreamIsCleanAndRepeatable) {
     std::atomic<int64_t> next{0};
     std::atomic<int64_t> sunk{0};
     video::OrderCheckingSink sink;
-    std::vector<Stage> stages;
+    Stages stages;
     for (int s = 0; s < 4; ++s)
       stages.push_back({"s" + std::to_string(s), [](video::Frame&) {
                           std::this_thread::sleep_for(
                               std::chrono::microseconds(50));
                         }});
-    Pipeline p(
-        stages, [&next] { return make_frame(next++); },
+    Pipeline p(counting(
+        stages, next,
         [&](const video::Frame& f) {
           sink.push(f);
           ++sunk;
         },
-        3);
+        3));
     p.start(1000);  // far more frames than can finish before the stop
     std::this_thread::sleep_for(std::chrono::microseconds(100 + 37 * iter));
     p.stop();
@@ -151,32 +172,79 @@ TEST(Pipeline, DestructorStopsRunningPipeline) {
   // together with the loop above).
   for (int iter = 0; iter < 20; ++iter) {
     std::atomic<int64_t> next{0};
-    Pipeline p(
-        {{"a",
-          [](video::Frame&) {
-            std::this_thread::sleep_for(std::chrono::microseconds(80));
-          }},
-         {"b",
-          [](video::Frame&) {
-            std::this_thread::sleep_for(std::chrono::microseconds(80));
-          }}},
-        [&next] { return make_frame(next++); }, [](const video::Frame&) {},
-        2);
+    Pipeline p(counting({{"a",
+                          [](video::Frame&) {
+                            std::this_thread::sleep_for(
+                                std::chrono::microseconds(80));
+                          }},
+                         {"b",
+                          [](video::Frame&) {
+                            std::this_thread::sleep_for(
+                                std::chrono::microseconds(80));
+                          }}},
+                        next, [](const video::Frame&) {}, 2));
     p.start(500);
     std::this_thread::sleep_for(std::chrono::microseconds(60 * iter));
     // ~Pipeline runs here: stop() + wait().
   }
 }
 
+TEST(Pipeline, StopFromStageCallbackDeliversAnInOrderPrefix) {
+  // stop() from inside a stage must not wait on the worker running it;
+  // the frames already pulled still reach the sink, in order.
+  std::atomic<int64_t> next{0};
+  video::OrderCheckingSink sink;
+  Pipeline* self = nullptr;
+  Pipeline p(counting({{"a", [](video::Frame&) {}},
+                       {"b",
+                        [&self](video::Frame& f) {
+                          if (f.sequence == 5) self->stop();
+                        }}},
+                      next, [&sink](const video::Frame& f) { sink.push(f); },
+                      2));
+  self = &p;
+  p.run(1000);
+  EXPECT_TRUE(sink.in_order());
+  EXPECT_GE(sink.frames_received(), 6);
+  EXPECT_LT(sink.frames_received(), 1000);
+  EXPECT_EQ(sink.frames_received(), next.load());
+}
+
+TEST(Pipeline, TracesUnderSessionMinusOne) {
+  telemetry::TraceCollector trace;
+  trace.set_enabled(true);
+  std::atomic<int64_t> next{0};
+  PipelineOptions po = counting({{"a", [](video::Frame&) {}},
+                                 {"b", [](video::Frame&) {}}},
+                                next, [](const video::Frame&) {}, 2);
+  po.trace = &trace;
+  Pipeline p(std::move(po));
+  p.run(8);
+  int64_t stage_spans = 0, frame_begins = 0, frame_ends = 0;
+  for (const auto& e : trace.snapshot()) {
+    EXPECT_EQ(e.session, -1) << e.name_view();
+    if (e.name_view().rfind("stage:", 0) == 0) ++stage_spans;
+    if (e.name_view() != "frame") continue;
+    frame_begins += e.phase == telemetry::TracePhase::kAsyncBegin;
+    frame_ends += e.phase == telemetry::TracePhase::kAsyncEnd;
+  }
+  EXPECT_EQ(stage_spans, 16);
+  EXPECT_EQ(frame_begins, 8);
+  EXPECT_EQ(frame_ends, 8);
+}
+
 TEST(Pipeline, RejectsInvalidConfig) {
-  std::vector<Stage> stages{{"s", [](video::Frame&) {}}};
-  EXPECT_THROW(Pipeline(stages, nullptr, [](const video::Frame&) {}, 1),
+  std::atomic<int64_t> next{0};
+  const Stages stages{{"s", [](video::Frame&) {}}};
+  PipelineOptions no_source =
+      counting(stages, next, [](const video::Frame&) {}, 1);
+  no_source.source = nullptr;
+  EXPECT_THROW(Pipeline{std::move(no_source)}, Error);
+  EXPECT_THROW(Pipeline(counting({}, next, [](const video::Frame&) {}, 1)),
                Error);
-  EXPECT_THROW(Pipeline({}, [] { return video::Frame{}; },
-                        [](const video::Frame&) {}, 1),
+  EXPECT_THROW(Pipeline(counting(stages, next, [](const video::Frame&) {}, 0)),
                Error);
-  Pipeline ok(
-      stages, [] { return video::Frame{}; }, [](const video::Frame&) {}, 1);
+  Pipeline ok(counting(stages, next, [](const video::Frame&) {}, 1));
   EXPECT_THROW(ok.run(0), Error);
 }
 
@@ -246,7 +314,7 @@ TEST(VirtualTime, AgreesWithThreadedPipelineOnSleepStages) {
   // virtual-time model predicts (loose tolerance: host scheduling noise).
   const std::vector<double> durations_ms{4.0, 8.0, 5.0, 6.0};
   std::vector<TimedStage> timed;
-  std::vector<Stage> stages;
+  Stages stages;
   for (size_t i = 0; i < durations_ms.size(); ++i) {
     timed.push_back({"s" + std::to_string(i), durations_ms[i], ""});
     const auto us = static_cast<int64_t>(durations_ms[i] * 1000);
@@ -261,19 +329,12 @@ TEST(VirtualTime, AgreesWithThreadedPipelineOnSleepStages) {
   const auto predicted = simulate(timed, cores, 40);
 
   std::atomic<int64_t> next{0};
-  Pipeline p(
-      stages,
-      [&next] {
-        video::Frame f;
-        f.sequence = next++;
-        return f;
-      },
-      [](const video::Frame&) {}, cores);
+  Pipeline p(counting(stages, next, [](const video::Frame&) {}, cores));
   p.run(40);
   // The single-core host timeslices the two workers; allow generous slack
   // but require the same order of magnitude and the correct upper bound.
-  EXPECT_GT(p.fps(), predicted.fps * 0.3);
-  EXPECT_LT(p.fps(), predicted.fps * 1.3);
+  EXPECT_GT(fps(p), predicted.fps * 0.3);
+  EXPECT_LT(fps(p), predicted.fps * 1.3);
 }
 
 TEST(VirtualTime, FourfoldSpeedupDilutedBySerialization) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -24,10 +25,6 @@
 #include "serve/server.hpp"
 #include "video/camera.hpp"
 
-// ServeStage carries optional batched fields (batch_work, engine_layer)
-// with safe defaults; the three-field {name, work, uses_engine} literal
-// stays the canonical spelling for plain CPU stages throughout this suite.
-#pragma GCC diagnostic ignored "-Wmissing-field-initializers"
 
 namespace tincy::serve {
 namespace {
@@ -647,6 +644,59 @@ TEST(StreamServer, FaultQuarantinesOnlyThePoisonedSession) {
   EXPECT_EQ(snap.counter_value("serve.session.s1.frames"), 2);
 }
 
+TEST(StreamServer, SourceFaultQuarantinesOnlyThePullSession) {
+  // A pull source that throws poisons its own session like a stage does;
+  // a push session on the same server keeps flowing, and the trace still
+  // pairs every frame it began.
+  telemetry::MetricsRegistry registry;
+  telemetry::TraceCollector trace;
+  trace.set_enabled(true);
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.metrics = &registry;
+  opts.trace = &trace;
+  StreamServer server(opts);
+  SessionConfig push;
+  push.stages = {{"work", [](video::Frame&) {}}};
+  const int64_t push_id = server.open_session(std::move(push));
+  SessionConfig pull;
+  pull.stages = {{"read", [](video::Frame&) {}}, {"work", [](video::Frame&) {}}};
+  int64_t next = 0;
+  pull.source = [&next] {
+    if (next == 3) throw std::runtime_error("camera gone");
+    return make_frame(next++);
+  };
+  std::atomic<int64_t> pulled_delivered{0};
+  pull.deliver = [&](video::Frame&&) { pulled_delivered++; };
+  const int64_t pull_id = server.open_session(std::move(pull));
+
+  EXPECT_THROW(server.submit(pull_id, make_frame(0)), Error);
+  EXPECT_THROW(server.pull(push_id, 1), Error);
+  EXPECT_EQ(server.pull(pull_id, 1), ServeResult::kClosed);  // not running
+  server.start();
+  ASSERT_EQ(server.pull(pull_id, 100), ServeResult::kAccepted);
+  for (int64_t seq = 0; seq < 8; ++seq)
+    ASSERT_EQ(server.submit(push_id, make_frame(seq)), ServeResult::kAccepted);
+  server.drain();  // returns although 96 pulls were never taken
+  EXPECT_TRUE(server.quarantined(pull_id));
+  EXPECT_EQ(server.fault_message(pull_id), "camera gone");
+  EXPECT_EQ(server.pull(pull_id, 1), ServeResult::kQuarantined);
+  EXPECT_FALSE(server.quarantined(push_id));
+  EXPECT_EQ(server.delivered(push_id), 8);
+  server.stop();
+  EXPECT_EQ(pulled_delivered.load() +
+                registry.snapshot().counter_value("serve.session.s1.dropped"),
+            4);  // three frames pulled, plus the failed pull
+
+  std::map<int64_t, int> open;  // pull-session frame -> begins - ends
+  for (const auto& e : trace.snapshot()) {
+    if (e.name_view() != "frame" || e.session != -1) continue;
+    open[e.frame] += e.phase == telemetry::TracePhase::kAsyncBegin ? 1 : -1;
+  }
+  EXPECT_EQ(open.size(), 3u);
+  for (const auto& [frame, balance] : open) EXPECT_EQ(balance, 0) << frame;
+}
+
 // --- Overload policies beyond blanket rejection ---
 
 TEST(StreamServer, ShedOldestAdmitsFreshFrames) {
@@ -1044,8 +1094,14 @@ TEST(StreamServer, GangFaultQuarantinesEveryMember) {
   opts.arbiter = {.max_batch = 2, .batch_linger_us = 20000};
   StreamServer server(opts);
   std::atomic<int64_t> delivered{0};
+  // Frames wait at a CPU gate until every submission is in: a gang that
+  // faulted earlier would quarantine its sessions mid-submission.
+  std::atomic<bool> submitted{false};
   for (int i = 0; i < 2; ++i) {
     SessionConfig sc;
+    sc.stages.push_back({"gate", [&submitted](video::Frame&) {
+                           while (!submitted.load()) std::this_thread::yield();
+                         }});
     ServeStage stage;
     stage.name = "engine";
     stage.uses_engine = true;
@@ -1062,9 +1118,10 @@ TEST(StreamServer, GangFaultQuarantinesEveryMember) {
   }
   server.start();
   for (int64_t seq = 0; seq < 4; ++seq) {
-    ASSERT_EQ(server.submit(0, make_frame(seq)), ServeResult::kAccepted);
-    ASSERT_EQ(server.submit(1, make_frame(seq)), ServeResult::kAccepted);
+    EXPECT_EQ(server.submit(0, make_frame(seq)), ServeResult::kAccepted);
+    EXPECT_EQ(server.submit(1, make_frame(seq)), ServeResult::kAccepted);
   }
+  submitted = true;  // before any early exit, or the gate never opens
   server.drain();
   server.stop();
   // Either some lone grants went through first or the very first pass was

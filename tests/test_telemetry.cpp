@@ -126,8 +126,8 @@ TEST(Telemetry, RegistrySnapshotFiltersByPrefix) {
 
 TEST(Telemetry, JsonExportRoundTrips) {
   MetricsRegistry registry;
-  registry.counter("pipeline.frames").add(42);
-  registry.gauge("pipeline.fps").set(16.25);
+  registry.counter("serve.session.s0.frames").add(42);
+  registry.gauge("serve.session.s0.fps").set(16.25);
   registry.gauge("weird \"name\"\t").set(-1.5e-3);
   Histogram& h = registry.histogram("net.layer.0.convolutional.ms");
   Rng rng(11);
@@ -140,8 +140,8 @@ TEST(Telemetry, JsonExportRoundTrips) {
   ASSERT_EQ(after.counters.size(), before.counters.size());
   ASSERT_EQ(after.gauges.size(), before.gauges.size());
   ASSERT_EQ(after.histograms.size(), before.histograms.size());
-  EXPECT_EQ(after.counter_value("pipeline.frames"), 42);
-  EXPECT_DOUBLE_EQ(after.gauge_value("pipeline.fps"), 16.25);
+  EXPECT_EQ(after.counter_value("serve.session.s0.frames"), 42);
+  EXPECT_DOUBLE_EQ(after.gauge_value("serve.session.s0.fps"), 16.25);
   EXPECT_DOUBLE_EQ(after.gauge_value("weird \"name\"\t"), -1.5e-3);
   const auto* hs = after.find_histogram("net.layer.0.convolutional.ms");
   ASSERT_NE(hs, nullptr);
@@ -195,8 +195,8 @@ TEST(Telemetry, PipelineSpanCountsEqualFramesProcessed) {
 
   const Snapshot snap = p.snapshot();
   for (int s = 0; s < 4; ++s) {
-    const std::string prefix = "pipeline.stage.stage_" + std::to_string(s);
-    EXPECT_EQ(snap.counter_value(prefix + ".jobs"), kFrames) << prefix;
+    const std::string prefix =
+        "serve.session.pipeline.stage.stage_" + std::to_string(s);
     const auto* busy = snap.find_histogram(prefix + ".busy_ms");
     ASSERT_NE(busy, nullptr) << prefix;
     EXPECT_EQ(busy->stats.count, kFrames) << prefix;
@@ -204,18 +204,11 @@ TEST(Telemetry, PipelineSpanCountsEqualFramesProcessed) {
     ASSERT_NE(wait, nullptr) << prefix;
     EXPECT_EQ(wait->stats.count, kFrames) << prefix;
   }
-  EXPECT_EQ(snap.counter_value("pipeline.frames"), kFrames);
-  const auto* latency = snap.find_histogram("pipeline.frame_latency_ms");
+  EXPECT_EQ(snap.counter_value("serve.session.pipeline.frames"), kFrames);
+  const auto* latency = snap.find_histogram("serve.session.pipeline.latency_ms");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->stats.count, kFrames);
-  EXPECT_GT(snap.gauge_value("pipeline.fps"), 0.0);
-
-  // The legacy accessors are adapters over the same telemetry.
-  const auto stats = p.stats();
-  ASSERT_EQ(stats.size(), 4u);
-  for (const auto& st : stats) EXPECT_EQ(st.jobs, kFrames);
-  EXPECT_NEAR(p.elapsed_seconds() * 1000.0,
-              snap.gauge_value("pipeline.elapsed_ms"), 1e-9);
+  EXPECT_GT(snap.gauge_value("serve.session.pipeline.fps"), 0.0);
 }
 
 TEST(Telemetry, PipelineRunResetsItsOwnMetrics) {
@@ -235,9 +228,13 @@ TEST(Telemetry, PipelineRunResetsItsOwnMetrics) {
   pipeline::Pipeline p(std::move(options));
   p.run(10);
   p.run(7);  // second run must not accumulate on top of the first
-  EXPECT_EQ(p.snapshot().counter_value("pipeline.stage.only.jobs"), 7);
-  EXPECT_EQ(p.snapshot().counter_value("pipeline.frames"), 7);
-  EXPECT_EQ(p.snapshot().counter_value("unrelated.counter"), 5);
+  const Snapshot snap = p.snapshot();
+  EXPECT_EQ(
+      snap.find_histogram("serve.session.pipeline.stage.only.busy_ms")
+          ->stats.count,
+      7);
+  EXPECT_EQ(snap.counter_value("serve.session.pipeline.frames"), 7);
+  EXPECT_EQ(snap.counter_value("unrelated.counter"), 5);
 }
 
 // --- Network integration: per-layer spans stay fresh in pipeline mode ---
@@ -254,19 +251,17 @@ TEST(Telemetry, NetworkRunLayerIntoRecordsFreshTimings) {
   for (int64_t i = 0; i < in.numel(); ++i) in[i] = rng.uniform();
 
   net.forward(in);
-  const auto* layer0 =
-      net.snapshot().find_histogram("net.layer.0.convolutional.ms");
+  const auto snap = net.snapshot();
+  const auto* layer0 = snap.find_histogram("net.layer.0.convolutional.ms");
   ASSERT_NE(layer0, nullptr);
   EXPECT_EQ(layer0->stats.count, 1);
 
-  // Pipeline mode: external per-frame buffer, same telemetry stream —
-  // last_layer_ms() must reflect this run, not the stale forward() one.
+  // Pipeline mode: external per-frame buffer, same telemetry stream — the
+  // layer histogram must count this run too.
   Tensor out(net.layer(0).output_shape());
   net.run_layer_into(0, in, out);
   EXPECT_EQ(net.snapshot().find_histogram("net.layer.0.convolutional.ms")->stats.count,
             2);
-  EXPECT_EQ(net.last_layer_ms(0),
-            net.snapshot().find_histogram("net.layer.0.convolutional.ms")->stats.last);
   EXPECT_EQ(net.snapshot().find_histogram("net.forward.ms")->stats.count, 1);
 }
 

@@ -23,10 +23,6 @@
 #include "telemetry/trace.hpp"
 #include "video/frame.hpp"
 
-// ServeStage carries optional batched fields (batch_work, engine_layer)
-// with safe defaults; the three-field literal stays the canonical
-// spelling for plain CPU stages.
-#pragma GCC diagnostic ignored "-Wmissing-field-initializers"
 
 namespace tincy::telemetry {
 namespace {
@@ -376,8 +372,8 @@ TEST(ServerObservability, QueueDepthGaugeReflectsAdmissionDwell) {
   server.stop();
   // Frames queued behind a 2 ms stage accumulated real dwell, so the
   // Little's-law mean depth is strictly positive.
-  const auto* g = registry.snapshot().find_gauge(
-      "serve.session.s0.queue_depth");
+  const auto snap = registry.snapshot();
+  const auto* g = snap.find_gauge("serve.session.s0.queue_depth");
   ASSERT_NE(g, nullptr);
   EXPECT_GT(g->value, 0.0);
 }

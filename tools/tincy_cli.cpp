@@ -161,9 +161,10 @@ int cmd_demo(int argc, char** argv) {
   video::OrderCheckingSink sink;
   pipeline::DemoConfig cfg;
   cfg.num_workers = workers;
-  const auto result = pipeline::run_demo(camera, *net, sink, frames, cfg);
+  const auto snap = pipeline::run_demo(camera, *net, sink, frames, cfg);
   std::printf("%lld frames, %.1f fps, order %s\n",
-              static_cast<long long>(sink.frames_received()), result.fps,
+              static_cast<long long>(sink.frames_received()),
+              snap.gauge_value("serve.session.pipeline.fps"),
               sink.in_order() ? "preserved" : "VIOLATED");
   return sink.in_order() ? 0 : 1;
 }
