@@ -1,5 +1,6 @@
 #include "core/bitvector.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace tincy {
@@ -7,6 +8,13 @@ namespace tincy {
 BitVector::BitVector(int64_t size) : size_(size) {
   TINCY_CHECK_MSG(size >= 0, "size " << size);
   words_.resize(static_cast<size_t>((size + 63) / 64), 0);
+}
+
+BitVector BitVector::from_words(int64_t size, const uint64_t* words) {
+  BitVector v(size);
+  std::copy(words, words + v.words_.size(), v.words_.begin());
+  if (size & 63) v.words_.back() &= (uint64_t{1} << (size & 63)) - 1;
+  return v;
 }
 
 bool BitVector::get(int64_t i) const {

@@ -21,6 +21,10 @@ class BitVector {
   /// Creates an all-zero vector of `size` bits.
   explicit BitVector(int64_t size);
 
+  /// Creates a `size`-bit vector from ceil(size/64) packed little-endian
+  /// words; bits past `size` in the last word are cleared.
+  static BitVector from_words(int64_t size, const uint64_t* words);
+
   int64_t size() const { return size_; }
 
   bool get(int64_t i) const;

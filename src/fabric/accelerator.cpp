@@ -71,22 +71,19 @@ void QnnAccelerator::add_layer(const QnnLayerSpec& spec,
   }
   if (spec.bipolar)
     TINCY_CHECK_MSG(spec.pad == 0, "bipolar conv cannot zero-pad");
-  layers_.push_back(Stage{spec,
-                          Mvtu(std::move(weights), std::move(thresholds),
-                               spec.act_bits_in,
-                               spec.bipolar ? ActEncoding::kBipolar
-                                            : ActEncoding::kUnsigned),
-                          SlidingWindowUnit(g)});
+  // The engine keeps the repacked weights; the per-row BitVectors of
+  // `weights` are released when this call returns.
+  layers_.push_back(Stage{spec, BitSerialEngine(g, weights,
+                                                std::move(thresholds),
+                                                spec.act_bits_in,
+                                                spec.bipolar
+                                                    ? ActEncoding::kBipolar
+                                                    : ActEncoding::kUnsigned)});
 }
 
 const QnnLayerSpec& QnnAccelerator::spec(int64_t i) const {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
   return layers_[static_cast<size_t>(i)].spec;
-}
-
-const Mvtu& QnnAccelerator::mvtu(int64_t i) const {
-  TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  return layers_[static_cast<size_t>(i)].mvtu;
 }
 
 Shape QnnAccelerator::input_shape() const {
@@ -139,32 +136,17 @@ void QnnAccelerator::run_layer_batched(int64_t i,
     trace_span.set_args(args);
   }
 
-  const int64_t n = stage.swu.num_columns();
-  const int64_t rows = stage.mvtu.rows();
-  const int64_t conv_h = s.conv_out_height(), conv_w = s.conv_out_width();
-
-  // One weight-streaming phase covers the whole batch: for every output
-  // position the SWU emits each frame's footprint and the MVTU applies
-  // the resident weights to all of them before moving on. Layer-at-a-time
-  // semantics per frame are unchanged (no cross-layer concurrency).
-  std::vector<uint8_t> columns(
-      static_cast<size_t>(batch * stage.swu.column_size()));
-  std::vector<uint8_t> out_cols(static_cast<size_t>(batch * rows));
-  std::vector<uint8_t> conv_out(static_cast<size_t>(batch * rows * n));
-  for (int64_t j = 0; j < n; ++j) {
-    stage.swu.emit_column_batch(inputs, batch, j, columns);
-    stage.mvtu.compute_batch(columns, batch, out_cols);
-    for (int64_t f = 0; f < batch; ++f)
-      for (int64_t r = 0; r < rows; ++r)
-        conv_out[static_cast<size_t>((f * rows + r) * n + j)] =
-            out_cols[static_cast<size_t>(f * rows + r)];
-  }
-
+  // One weight-streaming phase covers the whole batch: the engine keeps
+  // the weights resident while every frame's pixels stream through, and
+  // pools inside the pass so the conv output is never materialized.
+  // Layer-at-a-time semantics per frame are unchanged (no cross-layer
+  // concurrency).
   if (s.pool_after) {
-    const PoolSpec p{rows, conv_h, conv_w, s.pool_size, s.pool_stride};
-    max_pool_codes_batch(p, conv_out, outputs, batch);
+    const PoolSpec p{s.filters, s.conv_out_height(), s.conv_out_width(),
+                     s.pool_size, s.pool_stride};
+    stage.engine.run_pooled(inputs, batch, p, outputs);
   } else {
-    std::copy(conv_out.begin(), conv_out.end(), outputs.begin());
+    stage.engine.run(inputs, batch, outputs);
   }
 
   if (batch > 1) {
@@ -183,12 +165,12 @@ std::vector<uint8_t> QnnAccelerator::forward_codes_batched(
   TINCY_CHECK_MSG(batch >= 1, "batch " << batch);
   TINCY_CHECK(static_cast<int64_t>(inputs.size()) ==
               batch * input_shape().numel());
-  std::vector<uint8_t> current = inputs;
+  std::vector<uint8_t> current;
   for (int64_t i = 0; i < num_layers(); ++i) {
     const int64_t out_numel =
         layers_[static_cast<size_t>(i)].spec.output_shape().numel();
     std::vector<uint8_t> next(static_cast<size_t>(batch * out_numel));
-    run_layer_batched(i, current, batch, next);
+    run_layer_batched(i, i == 0 ? inputs : current, batch, next);
     current = std::move(next);
   }
   return current;
@@ -232,14 +214,17 @@ Tensor QnnAccelerator::forward(const Tensor& input) const {
 
 LayerPerf QnnAccelerator::layer_perf(int64_t i) const {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  const Stage& stage = layers_[static_cast<size_t>(i)];
-  const auto& s = stage.spec;
-  const int64_t n = stage.swu.num_columns();
+  const auto& s = layers_[static_cast<size_t>(i)].spec;
+  const auto g = s.conv_geometry();
 
   LayerPerf p;
-  p.compute_cycles = stage.mvtu.cycles_per_column(model_.folding) * n;
+  // One MVTU output vector per SWU column, bit-serial over the input
+  // activation planes.
+  p.compute_cycles = fold_cycles_per_vector({s.filters, g.patch_size()},
+                                            model_.folding, s.act_bits_in) *
+                     g.num_patches();
   // Layer-at-a-time execution streams this layer's weights from DDR.
-  const int64_t weight_bits = stage.mvtu.rows() * stage.mvtu.cols();
+  const int64_t weight_bits = s.filters * g.patch_size();
   p.weight_dma_cycles = static_cast<int64_t>(
       std::ceil(static_cast<double>(weight_bits) / model_.ddr_bits_per_cycle));
   // Input and output feature maps also cross DDR between invocations.
@@ -282,10 +267,10 @@ Resources QnnAccelerator::engine_resources() const {
   int64_t max_depth = 1, max_rows = 1, max_weight_bits = 1;
   int act_bits = 1;
   for (const Stage& stage : layers_) {
-    max_depth = std::max(max_depth, stage.mvtu.cols());
-    max_rows = std::max(max_rows, stage.mvtu.rows());
-    max_weight_bits =
-        std::max(max_weight_bits, stage.mvtu.rows() * stage.mvtu.cols());
+    const int64_t rows = stage.engine.rows(), cols = stage.engine.cols();
+    max_depth = std::max(max_depth, cols);
+    max_rows = std::max(max_rows, rows);
+    max_weight_bits = std::max(max_weight_bits, rows * cols);
     act_bits = std::max(act_bits, stage.spec.act_bits_in);
   }
   spec.max_depth = max_depth;

@@ -17,11 +17,10 @@
 #include <vector>
 
 #include "core/tensor.hpp"
+#include "fabric/bitserial.hpp"
 #include "fabric/folding.hpp"
-#include "fabric/mvtu.hpp"
 #include "fabric/pool_unit.hpp"
 #include "fabric/resource_model.hpp"
-#include "fabric/sliding_window.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace tincy::fabric {
@@ -102,7 +101,6 @@ class QnnAccelerator {
 
   int64_t num_layers() const { return static_cast<int64_t>(layers_.size()); }
   const QnnLayerSpec& spec(int64_t i) const;
-  const Mvtu& mvtu(int64_t i) const;
 
   Shape input_shape() const;
   Shape output_shape() const;
@@ -112,8 +110,10 @@ class QnnAccelerator {
 
   /// Executes layer `i` over `batch` stacked input code maps with a
   /// single weight-streaming phase (weights resident across the batch,
-  /// compute per frame). Bit-identical to running the layer per frame;
-  /// records the fabric.dma_* amortization telemetry when batch > 1.
+  /// compute per frame) on the layer's BitSerialEngine. Bit-identical to
+  /// running the layer per frame, and to the per-column SWU + MVTU
+  /// models; records the fabric.dma_* amortization telemetry when
+  /// batch > 1. Zero heap allocations once the scratch arenas are warm.
   void run_layer_batched(int64_t i, std::span<const uint8_t> inputs,
                          int64_t batch, std::span<uint8_t> outputs) const;
 
@@ -150,10 +150,11 @@ class QnnAccelerator {
   void set_metrics(telemetry::MetricsRegistry* metrics);
 
  private:
+  /// One offloaded layer: its geometry and the engine holding its
+  /// repacked weights and thresholds (the only copy of either).
   struct Stage {
     QnnLayerSpec spec;
-    Mvtu mvtu;
-    SlidingWindowUnit swu;
+    BitSerialEngine engine;
   };
 
   CycleModel model_;

@@ -118,15 +118,13 @@ std::vector<BinparamLayer> load_binparams(const std::string& dir) {
     l.weights.rows = rows;
     l.weights.cols = cols;
     const int64_t words_per_row = (cols + 63) / 64;
+    std::vector<uint64_t> words(static_cast<size_t>(words_per_row));
+    l.weights.row_bits.reserve(static_cast<size_t>(rows));
     for (int64_t r = 0; r < rows; ++r) {
-      BitVector bits(cols);
-      std::vector<uint64_t> words(static_cast<size_t>(words_per_row));
       wf.read(reinterpret_cast<char*>(words.data()),
               static_cast<std::streamsize>(words.size() * sizeof(uint64_t)));
       TINCY_CHECK_MSG(static_cast<bool>(wf), "truncated weights in " << base);
-      for (int64_t c = 0; c < cols; ++c)
-        bits.set(c, (words[static_cast<size_t>(c >> 6)] >> (c & 63)) & 1);
-      l.weights.row_bits.push_back(std::move(bits));
+      l.weights.row_bits.push_back(BitVector::from_words(cols, words.data()));
     }
     l.weights.row_scale.resize(static_cast<size_t>(rows));
     wf.read(reinterpret_cast<char*>(l.weights.row_scale.data()),

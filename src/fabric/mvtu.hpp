@@ -8,6 +8,10 @@
 /// XNOR-popcount terms, Σ_b 2^b · (popcount(w∧a_b) − popcount(¬w∧a_b)).
 /// The raw accumulator then passes the per-channel threshold unit which
 /// subsumes bias, batch normalization and the quantized activation.
+///
+/// This is the per-column model of the paper's unit. The accelerator
+/// executes layers on fabric/bitserial.hpp's BitSerialEngine, which
+/// tests/test_binary_conformance.cpp checks against this class.
 
 #include <cstdint>
 #include <span>

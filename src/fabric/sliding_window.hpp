@@ -5,7 +5,8 @@
 /// a CHW code tensor to the MVTU — the hardware realization of im2col.
 /// Functionally it emits exactly the column matrix gemm::im2col produces;
 /// the generator form keeps only one column live, matching the streaming
-/// hardware rather than materializing the K²-inflated matrix.
+/// hardware rather than materializing the K²-inflated matrix. Together
+/// with Mvtu it is the per-column oracle of fabric/bitserial.hpp's engine.
 
 #include <cstdint>
 #include <span>

@@ -17,7 +17,8 @@
 ///   uint8_t* buf = arena.alloc<uint8_t>(n);
 ///
 /// Allocations are 64-byte aligned (cache line) and valid until the
-/// enclosing ScratchScope unwinds. Blocks are chained, never reallocated,
+/// enclosing ScratchScope unwinds. Blocks are page mappings of their own
+/// on POSIX (see scratch.cpp), not malloc chunks. Blocks are chained, never reallocated,
 /// so growth does not invalidate live pointers; scopes nest freely.
 
 #include <cstddef>

@@ -18,7 +18,7 @@ struct Precision {
   bool is_float() const { return weight_bits >= 32 && act_bits >= 32; }
 
   /// Reduced-precision in the paper's sense: below 8 bits, i.e. the class
-  /// a FINN-style fabric accelerator handles (W1A1, W1A3, ternary, ...).
+  /// a FINN-style fabric accelerator handles (W1A1, W1A3, ...).
   bool is_reduced() const { return !is_float() && weight_bits < 8 && act_bits < 8; }
 
   /// Conservative fixed point (8-bit weights or activations, not reduced).

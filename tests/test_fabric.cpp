@@ -10,7 +10,6 @@
 #include "fabric/mvtu.hpp"
 #include "fabric/pool_unit.hpp"
 #include "fabric/resource_model.hpp"
-#include "fabric/ternary_mvtu.hpp"
 #include "fabric/sliding_window.hpp"
 #include "nn/builder.hpp"
 #include "nn/conv_layer.hpp"
@@ -337,58 +336,6 @@ TEST(Dataflow, EmptyPlanRejected) {
   EXPECT_THROW(evaluate_dataflow({}, Device{}, 300.0), Error);
 }
 
-// --- Ternary MVTU (related-work coverage: TWN on FPGAs) ---
-
-TEST(TernaryMvtu, AccumulateMatchesDirectDot) {
-  Rng rng(211);
-  const int64_t rows = 12, cols = 80;
-  Tensor w(Shape{rows, cols});
-  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
-  const quant::TernaryMatrix tw = quant::ternarize(w, /*with_scale=*/false);
-  TernaryMvtu mvtu(tw, identity_thresholds(rows, 7), /*act_bits_in=*/3);
-
-  std::vector<uint8_t> column(static_cast<size_t>(cols));
-  for (auto& c : column) c = static_cast<uint8_t>(rng.uniform_int(0, 7));
-  std::vector<int32_t> acc(static_cast<size_t>(rows));
-  mvtu.accumulate(column, acc);
-  for (int64_t r = 0; r < rows; ++r) {
-    int32_t expected = 0;
-    for (int64_t c = 0; c < cols; ++c)
-      expected += static_cast<int32_t>(tw.value(r, c)) *
-                  column[static_cast<size_t>(c)];
-    EXPECT_EQ(acc[static_cast<size_t>(r)], expected) << "row " << r;
-  }
-}
-
-TEST(TernaryMvtu, ZeroWeightsContributeNothing) {
-  quant::TernaryMatrix tw;
-  tw.rows = 1;
-  tw.cols = 4;
-  tw.nonzero.emplace_back(4);
-  tw.positive.emplace_back(4);
-  tw.row_scale.push_back(1.0f);
-  tw.nonzero[0].set(0, true);
-  tw.positive[0].set(0, true);   // +1
-  tw.nonzero[0].set(2, true);    // −1 (nonzero, not positive)
-  // Indices 1 and 3 are exact zeros.
-  TernaryMvtu mvtu(tw, identity_thresholds(1, 7), 3);
-  const std::vector<uint8_t> column{5, 7, 2, 7};
-  std::vector<int32_t> acc(1);
-  mvtu.accumulate(column, acc);
-  EXPECT_EQ(acc[0], 5 - 2);
-}
-
-TEST(TernaryMvtu, SameFoldingCostAsBinary) {
-  Rng rng(212);
-  Tensor w(Shape{64, 288});
-  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
-  const Mvtu binary(quant::binarize(w), identity_thresholds(64, 7), 3);
-  const TernaryMvtu ternary(quant::ternarize(w), identity_thresholds(64, 7),
-                            3);
-  const Folding f{32, 36};
-  EXPECT_EQ(binary.cycles_per_column(f), ternary.cycles_per_column(f));
-}
-
 // ---- Batched (weight-resident) execution parity -------------------------
 
 TEST(Mvtu, BatchMatchesSequentialCompute) {
@@ -445,37 +392,6 @@ TEST(Mvtu, BipolarBatchMatchesSequential) {
       EXPECT_EQ(batched[static_cast<size_t>(b * rows + r)],
                 expected[static_cast<size_t>(r)])
           << "frame " << b << " row " << r;
-  }
-}
-
-TEST(TernaryMvtu, BatchMatchesSequential) {
-  Rng rng(303);
-  const int64_t rows = 12, cols = 80, batch = 3;
-  Tensor w(Shape{rows, cols});
-  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
-  const TernaryMvtu mvtu(quant::ternarize(w), identity_thresholds(rows, 7),
-                         /*act_bits_in=*/3);
-
-  std::vector<uint8_t> columns(static_cast<size_t>(batch * cols));
-  for (auto& c : columns) c = static_cast<uint8_t>(rng.uniform_int(0, 7));
-
-  std::vector<uint8_t> batched(static_cast<size_t>(batch * rows));
-  std::vector<int32_t> acc_batched(static_cast<size_t>(batch * rows));
-  mvtu.compute_batch(columns, batch, batched);
-  mvtu.accumulate_batch(columns, batch, acc_batched);
-  std::vector<uint8_t> expected(static_cast<size_t>(rows));
-  std::vector<int32_t> acc_expected(static_cast<size_t>(rows));
-  for (int64_t b = 0; b < batch; ++b) {
-    const std::span<const uint8_t> col(columns.data() + b * cols,
-                                       static_cast<size_t>(cols));
-    mvtu.compute(col, expected);
-    mvtu.accumulate(col, acc_expected);
-    for (int64_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(batched[static_cast<size_t>(b * rows + r)],
-                expected[static_cast<size_t>(r)]);
-      EXPECT_EQ(acc_batched[static_cast<size_t>(b * rows + r)],
-                acc_expected[static_cast<size_t>(r)]);
-    }
   }
 }
 

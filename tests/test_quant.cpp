@@ -5,7 +5,6 @@
 #include "core/rng.hpp"
 #include "quant/affine.hpp"
 #include "quant/binary.hpp"
-#include "quant/ternary.hpp"
 #include "quant/thresholds.hpp"
 
 namespace tincy::quant {
@@ -107,38 +106,6 @@ TEST(Binary, DequantizeRoundTripSigns) {
   for (int64_t r = 0; r < 5; ++r)
     for (int64_t c = 0; c < 37; ++c)
       EXPECT_EQ(back.at2(r, c), w.at2(r, c) >= 0.0f ? 1.0f : -1.0f);
-}
-
-TEST(Ternary, TwnRule) {
-  Tensor w(Shape{1, 5});
-  // mean |w| = (1+0.1+0.2+2+0.05)/5 = 0.67; delta = 0.469.
-  w.at2(0, 0) = 1.0f;
-  w.at2(0, 1) = -0.1f;
-  w.at2(0, 2) = 0.2f;
-  w.at2(0, 3) = -2.0f;
-  w.at2(0, 4) = 0.05f;
-  const TernaryMatrix m = ternarize(w, /*with_scale=*/false);
-  EXPECT_FLOAT_EQ(m.value(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(m.value(0, 1), 0.0f);
-  EXPECT_FLOAT_EQ(m.value(0, 2), 0.0f);
-  EXPECT_FLOAT_EQ(m.value(0, 3), -1.0f);
-  EXPECT_FLOAT_EQ(m.value(0, 4), 0.0f);
-  EXPECT_DOUBLE_EQ(m.sparsity(), 3.0 / 5.0);
-}
-
-TEST(Ternary, DotBitplaneMatchesNaive) {
-  Rng rng(5);
-  Tensor w(Shape{3, 100});
-  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
-  const TernaryMatrix m = ternarize(w, /*with_scale=*/false);
-  BitVector plane(100);
-  for (int64_t i = 0; i < 100; ++i) plane.set(i, rng.bernoulli(0.5));
-  for (int64_t r = 0; r < 3; ++r) {
-    int64_t expected = 0;
-    for (int64_t c = 0; c < 100; ++c)
-      if (plane.get(c)) expected += static_cast<int64_t>(m.value(r, c));
-    EXPECT_EQ(dot_bitplane(m, r, plane), expected);
-  }
 }
 
 TEST(UniformActQuant, ThreeBitGrid) {

@@ -12,7 +12,7 @@
 //   tincy export-binparam <cfg> <weights|-> <dir>
 //                                               fabric parameter export
 //   tincy ladder                                the Sec. III speedup ladder
-//   tincy kernels                               GEMM micro-kernel dispatch
+//   tincy kernels                               GEMM + popcount kernel dispatch
 //                                               table on this machine
 //
 // Global flags (any subcommand):
@@ -43,6 +43,7 @@
 #include "data/image.hpp"
 #include "detect/decode.hpp"
 #include "detect/nms.hpp"
+#include "fabric/bitserial.hpp"
 #include "gemm/kernels.hpp"
 #include "nn/builder.hpp"
 #include "nn/describe.hpp"
@@ -310,6 +311,19 @@ int cmd_kernels() {
   else
     std::printf("TINCY_GEMM_KERNEL unset (set to scalar|lanes|avx2 to "
                 "override kAuto)\n");
+
+  // The fabric simulator's bit-plane popcount engine tiers.
+  const fabric::PopcountTier tier =
+      fabric::resolve_popcount_tier(fabric::PopcountTier::kAuto);
+  std::printf("fabric popcount engine tiers (fabric/bitserial.hpp):\n");
+  for (const fabric::PopcountTier t :
+       {fabric::PopcountTier::kScalar, fabric::PopcountTier::kPopcnt,
+        fabric::PopcountTier::kAvx512Vpopcntdq}) {
+    std::printf("  %-16s %-11s%s\n", fabric::popcount_tier_name(t),
+                fabric::popcount_tier_supported(t) ? "supported"
+                                                   : "unavailable",
+                t == tier ? "  <- dispatched by kAuto" : "");
+  }
   return 0;
 }
 
