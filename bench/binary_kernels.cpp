@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -164,7 +165,7 @@ int run(const char* json_path, bool gate) {
     for (const PopcountTier tier : dispatchable_popcount_tiers()) {
       BitSerialOptions st;
       st.tier = tier;
-      st.allow_threads = false;
+      st.min_ops_to_thread = INT64_MAX;
       const double ms = engine_row(popcount_tier_name(tier), st);
       if (tier == dispatched) auto_st_total += ms;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "core/errors.hpp"
 #include "gemm/scratch.hpp"
@@ -12,6 +13,8 @@ namespace tincy::fabric {
 namespace {
 
 constexpr int64_t kLanes = kPixelLanes;
+/// Conv rows per band of a single-thread engine call.
+constexpr int64_t kBandConvRows = 8;
 
 // --- Portable tiers: kScalar and kPopcnt ---------------------------------
 //
@@ -83,24 +86,26 @@ constexpr PopcountKernels kPopcntKernels{popcnt_unsigned, popcnt_bipolar};
 
 // --- Engine call: pack, shard, gather, accumulate, threshold -------------
 
+/// One band of one frame: its packed input rows and its output.
 struct ShardCtx {
   const BitSerialEngine* engine;
   const PopcountKernels* kernels;
-  const uint64_t* planes;  ///< batch × padded H·W × A × Cw words
-  int64_t frame_words;     ///< words per frame of `planes`
+  const uint64_t* planes;  ///< padded rows [row0, …), pw × A × Cw words each
+  int64_t row0;            ///< first padded input row held in `planes`
   int64_t padded_width;
   int64_t pixel_words;     ///< A · Cw
   int64_t channel_words;   ///< Cw = ceil(C/64)
   int64_t row_words;       ///< K² · Cw
-  int64_t total_pixels;    ///< batch · outH · outW
+  int64_t pixel_begin;     ///< unpooled: the band's output pixels are
+  int64_t pixel_end;       ///< [pixel_begin, pixel_end) of the frame
   const PoolSpec* pool;    ///< fused max-pool, or null
-  uint8_t* codes;          ///< threshold (or pooled) output, or null
-  int32_t* acc;            ///< raw accumulator output, or null
+  uint8_t* codes;          ///< the frame's threshold (or pooled) output
+  int32_t* acc;            ///< the frame's raw accumulators, or null
 };
 
-/// Gathers, accumulates and writes the `valid` output pixels starting at
-/// flattened (frame, pixel) index `first`; `pool_row` is the pooled output
-/// row the caller owns when a pool is fused.
+/// Gathers, accumulates and writes the `valid` output pixels of the frame
+/// starting at pixel index `first`; `pool_row` is the pooled output row the
+/// caller owns when a pool is fused.
 void run_block(const ShardCtx& c, int64_t first, int64_t valid,
                int64_t pool_row, const PopcountTile& tile, uint64_t* block) {
   const BitSerialEngine& e = *c.engine;
@@ -120,21 +125,20 @@ void run_block(const ShardCtx& c, int64_t first, int64_t valid,
       for (int64_t q = 0; q < planes * words; ++q) block[q * kLanes + p] = 0;
       continue;
     }
-    const int64_t gp = first + p;
-    const int64_t f = gp / pixels, j = gp % pixels;
+    const int64_t j = first + p;
     const int64_t oy = j / out_w, ox = j % out_w;
     if (c.pool) {
       const PoolSpec& ps = *c.pool;
       const int64_t x = ox + (ps.size - 1) / 2;  // + pad_left
       pool_lo[p] = x < ps.size ? 0 : (x - ps.size) / ps.stride + 1;
       pool_hi[p] = std::min(x / ps.stride, ps.out_width() - 1);
-      dst[p] = (f * rows * ps.out_height() + pool_row) * ps.out_width();
+      dst[p] = pool_row * ps.out_width();
     } else {
-      dst[p] = f * rows * pixels + j;
+      dst[p] = j;
     }
     const uint64_t* origin =
-        c.planes + f * c.frame_words +
-        (oy * g.stride * c.padded_width + ox * g.stride) * c.pixel_words;
+        c.planes + ((oy * g.stride - c.row0) * c.padded_width +
+                    ox * g.stride) * c.pixel_words;
     int64_t tap = 0;
     for (int64_t kh = 0; kh < g.kernel; ++kh) {
       const uint64_t* px = origin + kh * c.padded_width * c.pixel_words;
@@ -155,9 +159,8 @@ void run_block(const ShardCtx& c, int64_t first, int64_t valid,
   // is the pool unit's max.
   const int64_t row_stride =
       c.pool ? c.pool->out_height() * c.pool->out_width() : pixels;
-  // A full unpooled block inside one frame covers contiguous pixels.
-  const bool contiguous = !c.pool && valid == kLanes &&
-                          dst[kLanes - 1] == dst[0] + kLanes - 1;
+  // A full unpooled block covers contiguous pixels.
+  const bool contiguous = !c.pool && valid == kLanes;
   for (int64_t r = 0; r < rows; ++r) {
     const int32_t* a = tile.acc + r * kLanes;
     const int64_t off = r * row_stride;
@@ -191,11 +194,11 @@ void run_block(const ShardCtx& c, int64_t first, int64_t valid,
   }
 }
 
-/// parallel_for body. Unpooled: item i is the block of kLanes pixels at
-/// flattened index i·kLanes. Pooled: item i is pooled row i % outPH of
-/// frame i / outPH; it computes the conv rows of that row's windows (a
-/// row shared by overlapping windows is computed once per pooled row), so
-/// no two items write the same output.
+/// parallel_for body over one band. Unpooled: item i is the block of
+/// kLanes pixels at pixel_begin + i·kLanes. Pooled: item i is pooled row i;
+/// it computes the conv rows of that row's windows (a row shared by
+/// overlapping windows is computed once per pooled row), so no two items
+/// write the same output.
 void run_shard(int64_t lo, int64_t hi, void* raw) {
   const ShardCtx& c = *static_cast<const ShardCtx*>(raw);
   const BitSerialEngine& e = *c.engine;
@@ -217,37 +220,36 @@ void run_shard(int64_t lo, int64_t hi, void* raw) {
 
   for (int64_t item = lo; item < hi; ++item) {
     if (!c.pool) {
-      const int64_t first = item * kLanes;
-      run_block(c, first, std::min(kLanes, c.total_pixels - first), 0, tile,
+      const int64_t first = c.pixel_begin + item * kLanes;
+      run_block(c, first, std::min(kLanes, c.pixel_end - first), 0, tile,
                 block);
       continue;
     }
     const PoolSpec& ps = *c.pool;
-    const int64_t f = item / ps.out_height(), py = item % ps.out_height();
-    const int64_t y0 = py * ps.stride - (ps.size - 1) / 2;
-    const int64_t begin = f * g.num_patches() +
-                          std::max<int64_t>(y0, 0) * g.out_width();
-    const int64_t end = f * g.num_patches() +
-                        std::min(y0 + ps.size, g.out_height()) * g.out_width();
+    const int64_t y0 = item * ps.stride - (ps.size - 1) / 2;
+    const int64_t begin = std::max<int64_t>(y0, 0) * g.out_width();
+    const int64_t end = std::min(y0 + ps.size, g.out_height()) * g.out_width();
     for (int64_t first = begin; first < end; first += kLanes)
-      run_block(c, first, std::min(kLanes, end - first), py, tile, block);
+      run_block(c, first, std::min(kLanes, end - first), item, tile, block);
   }
 }
 
-/// Packs one frame's CHW codes into the padded HWC bit-planes at `out`
-/// (pixel (y, x) at ((y + pad)·pw + x + pad)·A·Cw words; the caller zeroes
-/// the padding). Pixel by pixel, each plane word gathers its 64 channels'
+/// Packs padded rows [row0, row1) of one frame's CHW codes into HWC
+/// bit-planes at `out` (pixel (y, x) at ((y + pad − row0)·pw + x + pad)·A·Cw
+/// words; the caller zeroes the padding). Pixel by pixel, each plane word gathers its 64 channels'
 /// bits in a register and is stored once; the CHW reads are C sequential
 /// streams. The plane count is a template parameter so the per-plane
 /// accumulators are named scalars the compiler keeps in registers.
 template <int kPlanes>
 void pack_planes(const uint8_t* frame, const gemm::ConvGeometry& g,
-                 int64_t channel_words, uint64_t* out) {
+                 int64_t channel_words, int64_t row0, int64_t row1,
+                 uint64_t* out) {
   const int64_t in_pixels = g.in_height * g.in_width;
   const int64_t pw = g.in_width + 2 * g.pad;
   const int64_t pixel_words = kPlanes * channel_words;
-  for (int64_t y = 0; y < g.in_height; ++y) {
-    uint64_t* px = out + ((y + g.pad) * pw + g.pad) * pixel_words;
+  const int64_t y_end = std::min(row1 - g.pad, g.in_height);
+  for (int64_t y = std::max<int64_t>(row0 - g.pad, 0); y < y_end; ++y) {
+    uint64_t* px = out + ((y + g.pad - row0) * pw + g.pad) * pixel_words;
     for (int64_t x = 0; x < g.in_width; ++x, px += pixel_words) {
       const uint8_t* src = frame + y * g.in_width + x;
       for (int64_t w = 0; w < channel_words; ++w) {
@@ -273,7 +275,7 @@ void pack_planes(const uint8_t* frame, const gemm::ConvGeometry& g,
 }
 
 using PackFn = void (*)(const uint8_t*, const gemm::ConvGeometry&, int64_t,
-                        uint64_t*);
+                        int64_t, int64_t, uint64_t*);
 constexpr PackFn kPackPlanes[] = {pack_planes<1>, pack_planes<2>,
                                   pack_planes<3>, pack_planes<4>,
                                   pack_planes<5>, pack_planes<6>,
@@ -440,40 +442,73 @@ void BitSerialEngine::execute(std::span<const uint8_t> inputs, int64_t batch,
   TINCY_CHECK(static_cast<int64_t>(inputs.size()) ==
               batch * g.in_channels * in_pixels);
 
+  core::ThreadPool& tp = opts.pool ? *opts.pool : core::ThreadPool::shared();
+  const int64_t ops = 2 * rows_ * cols() * batch * g.num_patches();
+  const bool thread = tp.threads() > 1 && ops >= opts.min_ops_to_thread;
+
+  // Frames run one after another, each in bands of output rows (pooled
+  // rows when a pool is fused). A sharded call takes the whole frame as one
+  // band so every shard has work; a single-thread call packs only the
+  // input rows of one kBandConvRows-row band at a time, so its retained
+  // scratch stays a few KB whatever the frame size.
+  const int64_t out_rows = pool ? pool->out_height() : g.out_height();
+  const int64_t pool_stride = pool ? pool->stride : 1;
+  const int64_t band =
+      thread ? out_rows
+             : std::max<int64_t>(1, kBandConvRows / pool_stride);
+  // Conv rows [cy0, cy1) behind output rows [b0, b1).
+  const auto conv_rows = [&](int64_t b0, int64_t b1) {
+    if (!pool) return std::pair{b0, b1};
+    const int64_t pad_top = (pool->size - 1) / 2;
+    return std::pair{
+        std::max<int64_t>(b0 * pool->stride - pad_top, 0),
+        std::min((b1 - 1) * pool->stride - pad_top + pool->size,
+                 g.out_height())};
+  };
+  const int64_t pw = g.in_width + 2 * g.pad;
+  const int64_t pixel_words = act_bits_ * channel_words_;
+  const int64_t max_conv_rows =
+      pool ? (band - 1) * pool->stride + pool->size : band;
+  const int64_t max_in_rows =
+      std::min((max_conv_rows - 1) * g.stride + g.kernel,
+               g.in_height + 2 * g.pad);
+
   auto& arena = gemm::thread_arena();
   gemm::ScratchScope scope(arena);
-
-  // Activation pack: zero-padded HWC bit-planes, once per frame.
-  const int64_t pw = g.in_width + 2 * g.pad;
-  const int64_t ph = g.in_height + 2 * g.pad;
-  const int64_t pixel_words = act_bits_ * channel_words_;
-  const int64_t frame_words = ph * pw * pixel_words;
-  uint64_t* planes = arena.alloc<uint64_t>(batch * frame_words);
-  std::memset(planes, 0,
-              static_cast<size_t>(batch * frame_words) * sizeof(uint64_t));
+  uint64_t* planes = arena.alloc<uint64_t>(max_in_rows * pw * pixel_words);
   const PackFn pack = kPackPlanes[act_bits_ - 1];
-  for (int64_t f = 0; f < batch; ++f)
-    pack(inputs.data() + f * g.in_channels * in_pixels, g, channel_words_,
-         planes + f * frame_words);
-
-  const int64_t total_pixels = batch * g.num_patches();
-  const int64_t items = pool ? batch * pool->out_height()
-                             : (total_pixels + kLanes - 1) / kLanes;
-  ShardCtx ctx{this,           &popcount_kernels(resolve_popcount_tier(opts.tier)),
-               planes,         frame_words,
-               pw,             pixel_words,
-               channel_words_, row_words_,
-               total_pixels,   pool,
-               codes,          acc};
-
-  core::ThreadPool& tp = opts.pool ? *opts.pool : core::ThreadPool::shared();
-  const int64_t ops = 2 * rows_ * cols() * total_pixels;
-  const bool thread = opts.allow_threads && tp.threads() > 1 &&
-                      ops >= opts.min_ops_to_thread;
-  // Fine-grained chunks (8 per thread) keep the tail balanced.
-  const int64_t chunks =
-      thread ? std::min<int64_t>(items, int64_t{tp.threads()} * 8) : 1;
-  tp.parallel_for(0, items, chunks, run_shard, &ctx);
+  const int64_t out_frame =
+      rows_ * (pool ? pool->out_height() * pool->out_width()
+                    : g.num_patches());
+  ShardCtx ctx{this, &popcount_kernels(resolve_popcount_tier(opts.tier)),
+               planes, 0, pw, pixel_words, channel_words_, row_words_,
+               0, 0, pool, nullptr, nullptr};
+  for (int64_t f = 0; f < batch; ++f) {
+    ctx.codes = codes ? codes + f * out_frame : nullptr;
+    ctx.acc = acc ? acc + f * out_frame : nullptr;
+    const uint8_t* frame = inputs.data() + f * g.in_channels * in_pixels;
+    for (int64_t b0 = 0; b0 < out_rows; b0 += band) {
+      const int64_t b1 = std::min(b0 + band, out_rows);
+      const auto [cy0, cy1] = conv_rows(b0, b1);
+      // Activation pack: the band's zero-padded HWC bit-plane rows.
+      const int64_t r0 = cy0 * g.stride;
+      const int64_t r1 = (cy1 - 1) * g.stride + g.kernel;
+      std::memset(planes, 0,
+                  static_cast<size_t>((r1 - r0) * pw * pixel_words) *
+                      sizeof(uint64_t));
+      pack(frame, g, channel_words_, r0, r1, planes);
+      ctx.row0 = r0;
+      ctx.pixel_begin = cy0 * g.out_width();
+      ctx.pixel_end = cy1 * g.out_width();
+      const int64_t lo = pool ? b0 : 0;
+      const int64_t hi =
+          pool ? b1 : (ctx.pixel_end - ctx.pixel_begin + kLanes - 1) / kLanes;
+      // Fine-grained chunks (8 per thread) keep the tail balanced.
+      const int64_t chunks =
+          thread ? std::min<int64_t>(hi - lo, int64_t{tp.threads()} * 8) : 1;
+      tp.parallel_for(lo, hi, chunks, run_shard, &ctx);
+    }
+  }
 }
 
 }  // namespace tincy::fabric

@@ -10,8 +10,9 @@
 /// Layout (FINN-R's SIMD folding along input channels):
 ///  * weights are repacked once, tap-major: row r holds K² tap groups of
 ///    Cw = ceil(C/64) words, bit c of group t is weight column c·K² + t;
-///  * each frame's CHW codes are packed once into zero-padded HWC
-///    bit-planes: pixel (y, x) holds A planes of Cw words, so the channels
+///  * each frame's CHW codes are packed into zero-padded HWC bit-planes,
+///    one band of output rows at a time (the whole frame when the call is
+///    sharded): pixel (y, x) holds A planes of Cw words, so the channels
 ///    of one pixel fill one word per plane and im2col becomes word copies.
 ///    A padding pixel is code 0, the exact zero of the unsigned grid;
 ///  * output pixels run in blocks of kPixelLanes: the block's tap words
@@ -95,9 +96,8 @@ const PopcountKernels* avx512_popcount_kernels();
 struct BitSerialOptions {
   PopcountTier tier = PopcountTier::kAuto;
   core::ThreadPool* pool = nullptr;  ///< null -> ThreadPool::shared()
-  bool allow_threads = true;         ///< false forces a single-thread run
   /// Whole-call threading floor in ops (2·rows·cols·pixels·batch): below
-  /// it the call never fans out. A call this small finishes in about a
+  /// it the call never fans out (INT64_MAX forces a single-thread run). A call this small finishes in about a
   /// millisecond on one core with the VPOPCNTDQ tier, and on a loaded host
   /// (every serving worker busy) waking the pool costs more CPU than it
   /// saves wall time.

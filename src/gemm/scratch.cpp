@@ -1,6 +1,7 @@
 #include "gemm/scratch.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -14,6 +15,8 @@ namespace {
 
 constexpr size_t kAlignment = 64;
 constexpr size_t kMinBlockBytes = size_t{1} << 16;  // 64 KiB floor
+
+std::atomic<int64_t> g_blocks_acquired{0};
 
 size_t align_up(size_t n) {
   return (n + kAlignment - 1) & ~(kAlignment - 1);
@@ -74,6 +77,7 @@ void* Arena::alloc_bytes(size_t bytes) {
     blocks_.push_back(b);
     offset_ = 0;
     ++heap_allocations_;
+    g_blocks_acquired.fetch_add(1, std::memory_order_relaxed);
   }
   void* p = blocks_[block_].data + offset_;
   offset_ += bytes;
@@ -83,6 +87,10 @@ void* Arena::alloc_bytes(size_t bytes) {
 Arena& thread_arena() {
   thread_local Arena arena;
   return arena;
+}
+
+int64_t arena_blocks_acquired() {
+  return g_blocks_acquired.load(std::memory_order_relaxed);
 }
 
 }  // namespace tincy::gemm

@@ -8,8 +8,10 @@
 /// The arena replaces those with bump allocations from thread-local
 /// blocks that are retained across calls: once a thread has seen its
 /// largest frame, every subsequent frame performs zero heap allocations.
-/// `heap_allocations()` counts block acquisitions so tests can assert the
-/// steady state.
+/// `heap_allocations()` counts one arena's block acquisitions and
+/// `arena_blocks_acquired()` those of every thread, so tests can assert the
+/// steady state (blocks are mapped directly, so operator-new counters do
+/// not see them).
 ///
 /// Usage pattern (scoped, stack-like):
 ///   auto& arena = thread_arena();
@@ -84,5 +86,9 @@ class ScratchScope {
 
 /// The calling thread's arena (thread_local; lives for the thread).
 Arena& thread_arena();
+
+/// Blocks acquired so far by all arenas of the process, pool workers
+/// included. Constant across steady-state frames.
+int64_t arena_blocks_acquired();
 
 }  // namespace tincy::gemm

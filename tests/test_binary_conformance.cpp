@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -36,6 +37,7 @@
 #include "fabric/mvtu.hpp"
 #include "fabric/pool_unit.hpp"
 #include "fabric/sliding_window.hpp"
+#include "gemm/scratch.hpp"
 #include "nn/builder.hpp"
 #include "nn/zoo.hpp"
 #include "offload/import.hpp"
@@ -237,7 +239,7 @@ std::string describe(const Problem& p) {
 void expect_every_tier_conforms(const Problem& p,
                                 BitSerialOptions opts_base = [] {
                                   BitSerialOptions o;
-                                  o.allow_threads = false;
+                                  o.min_ops_to_thread = INT64_MAX;
                                   return o;
                                 }()) {
   std::vector<int32_t> oracle_acc;
@@ -418,7 +420,7 @@ TEST(BinaryConformance, ForcedShardingOnPrivatePool) {
   const BitSerialEngine engine = make_engine(p);
   std::vector<uint8_t> expected(static_cast<size_t>(p.out_numel()));
   BitSerialOptions single;
-  single.allow_threads = false;
+  single.min_ops_to_thread = INT64_MAX;
   engine.run(p.inputs, p.batch, expected, single);
   std::atomic<int> mismatches{0};
   const auto caller = [&] {
@@ -443,7 +445,7 @@ TEST(BinaryConformance, FusedPoolMatchesPoolUnit) {
   sharded.pool = &pool;
   sharded.min_ops_to_thread = 0;
   BitSerialOptions single;
-  single.allow_threads = false;
+  single.min_ops_to_thread = INT64_MAX;
   Rng rng(1309);
   const std::pair<int64_t, int64_t> windows[] = {{2, 2}, {2, 1}, {3, 2},
                                                  {3, 3}};
@@ -551,9 +553,15 @@ TEST(ZeroAllocation, WarmLayerPassesDoNotTouchTheHeap) {
   for (int i = 0; i < 20; ++i) run_frame();
 
   const int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 5; ++i) run_frame();
+  const int64_t blocks_before = gemm::arena_blocks_acquired();
+  // Arena blocks double in size, so a per-pass leak shows as a new block
+  // only after many passes; 50 cover one doubling past the warm-up.
+  for (int i = 0; i < 50; ++i) run_frame();
+  const int64_t blocks_after = gemm::arena_blocks_acquired();
   const int64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0) << "steady-state layer passes must not allocate";
+  EXPECT_EQ(blocks_after - blocks_before, 0)
+      << "no arena (caller or pool worker) may grow after warm-up";
 }
 
 }  // namespace

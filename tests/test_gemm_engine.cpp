@@ -392,15 +392,19 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   run_frame();
 
   const int64_t arena_before = thread_arena().heap_allocations();
+  const int64_t blocks_before = arena_blocks_acquired();
   const int64_t heap_before = g_heap_allocs.load(std::memory_order_relaxed);
   for (int i = 0; i < 5; ++i) run_frame();
   const int64_t heap_after = g_heap_allocs.load(std::memory_order_relaxed);
+  const int64_t blocks_after = arena_blocks_acquired();
   const int64_t arena_after = thread_arena().heap_allocations();
 
   EXPECT_EQ(heap_after - heap_before, 0)
       << "steady-state frames must not allocate";
   EXPECT_EQ(arena_after - arena_before, 0)
       << "arena must not grow after warm-up";
+  EXPECT_EQ(blocks_after - blocks_before, 0)
+      << "no arena (caller or pool worker) may grow after warm-up";
 }
 
 // --- Thread pool: correctness and concurrent stress (TSan target) ------
