@@ -99,7 +99,7 @@ struct ShardCtx {
   int64_t pixel_begin;     ///< unpooled: the band's output pixels are
   int64_t pixel_end;       ///< [pixel_begin, pixel_end) of the frame
   const PoolSpec* pool;    ///< fused max-pool, or null
-  uint8_t* codes;          ///< the frame's threshold (or pooled) output
+  uint8_t* codes;          ///< the frame's threshold (or pooled) codes, or null
   int32_t* acc;            ///< the frame's raw accumulators, or null
 };
 
@@ -236,9 +236,9 @@ void run_shard(int64_t lo, int64_t hi, void* raw) {
 
 /// Packs padded rows [row0, row1) of one frame's CHW codes into HWC
 /// bit-planes at `out` (pixel (y, x) at ((y + pad − row0)·pw + x + pad)·A·Cw
-/// words; the caller zeroes the padding). Pixel by pixel, each plane word gathers its 64 channels'
-/// bits in a register and is stored once; the CHW reads are C sequential
-/// streams. The plane count is a template parameter so the per-plane
+/// words; the caller zeroes the padding). Pixel by pixel, each plane word
+/// gathers its 64 channels' bits in a register and is stored once; the CHW
+/// reads are C sequential streams. The plane count is a template parameter so the per-plane
 /// accumulators are named scalars the compiler keeps in registers.
 template <int kPlanes>
 void pack_planes(const uint8_t* frame, const gemm::ConvGeometry& g,

@@ -20,8 +20,9 @@
 ///
 /// Allocations are 64-byte aligned (cache line) and valid until the
 /// enclosing ScratchScope unwinds. Blocks are page mappings of their own
-/// on POSIX (see scratch.cpp), not malloc chunks. Blocks are chained, never reallocated,
-/// so growth does not invalidate live pointers; scopes nest freely.
+/// on POSIX (see scratch.cpp), not malloc chunks. Blocks are chained, never
+/// reallocated, so growth does not invalidate live pointers; scopes nest
+/// freely.
 
 #include <cstddef>
 #include <cstdint>
