@@ -241,9 +241,11 @@ BENCHMARK(BM_GemmLowp_PackedThreaded);
 //
 // `gemm_kernels --gate [out.json]` times the packed engine against the
 // naive gemm_lowp_i32 oracle on the Tincy YOLO first/last CPU-layer
-// shapes, asserts bit-exact parity, enforces the speedup floors from
-// the issue (packed+threaded >= 3x, single-threaded pack+tile >= 1.5x),
-// and writes a baseline-vs-packed-vs-threaded report to BENCH_gemm.json.
+// shapes, asserts bit-exact parity, enforces the speedup floors
+// (packed+threaded >= 3x, single-threaded pack+tile >= 1.5x), checks the
+// first16_acc16 engine route against the first_layer_lowp_acc16 lane model
+// (bit-identical on every tier, >= 3x on one thread), and writes a
+// baseline-vs-packed-vs-threaded report to BENCH_gemm.json.
 
 struct GateShape {
   const char* name;
@@ -429,7 +431,66 @@ int run_gate(const char* json_path) {
     js << "],\n     \"pass\": " << (shape_ok ? "true" : "false") << "}";
     first_shape = false;
   }
-  js << "\n  ],\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
+  js << "\n  ],";
+
+  // The paper's first layer at the layer-0 gate geometry, as a network
+  // runs it: symmetric weights packed once, then the fused driver with the
+  // kI16Shift4 accumulator, against the §III-D lane model it replaced.
+  // Both run on one thread; every tier must be bit-identical to the lane
+  // model, and the kAuto tier at least kMinFirstLayerSpeedup faster.
+  {
+    const double kMinFirstLayerSpeedup = 3.0;
+    const Fixture& f = fixture();
+    const gemm::PackedLhs packed = gemm::pack_symmetric(f.sym, 16);
+    const quant::AffineParams w_params{f.sym.scale,
+                                       gemm::kSymmetricZeroPoint};
+    Tensor want(f.out.shape()), got(f.out.shape());
+    gemm::first_layer_lowp_acc16(f.image.data(), f.g, f.in_params, f.sym,
+                                 f.bias.data(), want.data());
+    const auto bytes = static_cast<size_t>(want.numel()) * sizeof(float);
+    gemm::GemmOptions opts;
+    opts.allow_threads = false;
+    opts.acc = gemm::Accumulator::kI16Shift4;
+    const auto run_engine = [&] {
+      gemm::fused_conv_lowp_f32out(f.image.data(), f.g, f.in_params, packed,
+                                   w_params, f.bias.data(), got.data(), opts);
+    };
+    bool parity = true;
+    for (const gemm::Kernel k : gemm::dispatchable_kernels()) {
+      opts.kernel = k;
+      got.fill(-1.0f);
+      run_engine();
+      parity = parity && std::memcmp(want.data(), got.data(), bytes) == 0;
+    }
+    opts.kernel = gemm::Kernel::kAuto;
+    const double lane_ms = best_of_ms(kTrials, [&] {
+      gemm::first_layer_lowp_acc16(f.image.data(), f.g, f.in_params, f.sym,
+                                   f.bias.data(), got.data());
+    });
+    const double engine_ms = best_of_ms(kTrials, run_engine);
+    const double speedup = lane_ms / engine_ms;
+    const bool ok = parity && speedup >= kMinFirstLayerSpeedup;
+    pass = pass && ok;
+    const double mflop = 2.0 * 16 * f.g.num_patches() * f.g.patch_size() / 1e6;
+    std::printf(
+        "first16_acc16 %lldx%lld parity(all tiers)=%s\n"
+        "          lane model %8.3f ms (%7.0f MFLOP/s)\n"
+        "          engine-1t  %8.3f ms (%7.0f MFLOP/s)  %.2fx  [floor %.1fx]"
+        "  -> %s\n",
+        static_cast<long long>(f.g.in_height),
+        static_cast<long long>(f.g.in_width), parity ? "ok" : "FAIL",
+        lane_ms, mflop / lane_ms * 1e3, engine_ms, mflop / engine_ms * 1e3,
+        speedup, kMinFirstLayerSpeedup, ok ? "PASS" : "FAIL");
+    js << "\n  \"first_layer\": {\"name\": \"first16_acc16\", \"H\": "
+       << f.g.in_height << ", \"W\": " << f.g.in_width
+       << ", \"lane_model_ms\": " << lane_ms
+       << ", \"engine_single_thread_ms\": " << engine_ms
+       << ", \"speedup_single_thread\": " << speedup
+       << ", \"min_speedup\": " << kMinFirstLayerSpeedup
+       << ", \"parity\": " << (parity ? "true" : "false")
+       << ", \"pass\": " << (ok ? "true" : "false") << "},";
+  }
+  js << "\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
 
   if (json_path) {
     std::ofstream out(json_path);

@@ -26,6 +26,15 @@ SymmetricWeights quantize_symmetric(const Tensor& weights) {
   return sw;
 }
 
+PackedLhs pack_symmetric(const SymmetricWeights& weights, int64_t rows) {
+  std::vector<uint8_t> codes(weights.codes.size());
+  for (size_t i = 0; i < codes.size(); ++i)
+    codes[i] = static_cast<uint8_t>(weights.codes[i] + kSymmetricZeroPoint);
+  return pack_lhs(codes.data(), rows,
+                  static_cast<int64_t>(codes.size()) / rows,
+                  kSymmetricZeroPoint);
+}
+
 namespace {
 
 /// Gathers the 27 input taps feeding output position (oh, ow) into `taps`;

@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file first_layer.hpp
-/// Fully specialized kernels for the paper's first convolutional layer.
+/// Lane models of the paper's specialized first-layer kernels, and the
+/// oracles of the route that runs that layer in a frame.
 ///
 /// Tincy YOLO's input layer has a 16×27 weight matrix (16 output channels,
 /// 3 input channels × 3×3 taps): "The 16 divides nicely by all lane counts
@@ -13,11 +14,20 @@
 ///   * 8-bit, i16 acc — 120 ms, requiring a rounding right shift by 4
 ///     before accumulation to avoid destructive overflow (small accuracy
 ///     loss; the float kernel stays available as a drop-in reference).
+///
+/// The functions below model those NEON lanes with scalar loops; they feed
+/// the §III-D ladder benchmarks and the accumulator ablation. A network's
+/// `first16_acc16` / `first16_acc32` layer does not call them: ConvLayer
+/// packs the symmetric codes with pack_symmetric() and runs the packed
+/// engine's fused conv driver (gemm_lowp.hpp) with the kI16Shift4 / kI32
+/// accumulator, which is bit-identical to first_layer_lowp_acc16 /
+/// first_layer_lowp_acc32 on every micro-kernel tier.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/tensor.hpp"
+#include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
 #include "quant/affine.hpp"
 
@@ -42,6 +52,14 @@ struct SymmetricWeights {
 /// (max-abs mapping to ±127).
 SymmetricWeights quantize_symmetric(const Tensor& weights);
 
+/// Zero point of pack_symmetric's offset-binary codes.
+inline constexpr int32_t kSymmetricZeroPoint = 128;
+
+/// Packs symmetric weights (`rows` × codes.size()/rows) for the packed
+/// engine as u8 code + 128 with zero point 128, so every centered product
+/// the engine forms is code·(a − za), exactly the lane model's.
+PackedLhs pack_symmetric(const SymmetricWeights& weights, int64_t rows);
+
 /// f32 variant: fused strip im2col + fully unrolled 27-tap dot products in
 /// 4 float lanes. `weights` is 16×27 row-major, `bias` length 16 (nullable).
 void first_layer_f32(const float* image, const ConvGeometry& g,
@@ -59,7 +77,7 @@ void first_layer_lowp_acc32(const float* image, const ConvGeometry& g,
 /// 8-bit variant with 16-bit lane accumulators (8 lanes): every 16-bit
 /// product is rounding-right-shifted by 4 (NEON VRSHR) before being added
 /// with saturation (VQADD); the accumulator is re-scaled by 16 on output.
-/// This is the paper's fastest — and slightly lossy — first-layer path.
+/// The paper's fastest first-layer kernel on the A53, and slightly lossy.
 void first_layer_lowp_acc16(const float* image, const ConvGeometry& g,
                             const quant::AffineParams& input_params,
                             const SymmetricWeights& weights, const float* bias,

@@ -1,6 +1,7 @@
 #include "gemm/gemm_lowp.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "gemm/scratch.hpp"
 #include "telemetry/metrics.hpp"
@@ -188,6 +189,19 @@ void im2col_panel_u8(const uint8_t* image, const ConvGeometry& g,
   }
 }
 
+/// parallel_for context of the fused conv path's image quantization.
+struct QuantizeShardCtx {
+  const float* image;
+  const quant::AffineParams* params;
+  uint8_t* qimage;
+};
+
+void run_quantize_shard(int64_t lo, int64_t hi, void* p) {
+  auto& ctx = *static_cast<QuantizeShardCtx*>(p);
+  for (int64_t i = lo; i < hi; ++i)
+    ctx.qimage[i] = ctx.params->quantize(ctx.image[i]);
+}
+
 /// parallel_for context of the fused conv path: shards of column panels,
 /// each im2col'd and multiplied in the worker's own arena.
 struct FusedShardCtx {
@@ -198,9 +212,55 @@ struct FusedShardCtx {
   uint8_t pad;
   float real_scale;
   const float* bias;
+  const ConvEpilogue* epilogue;
+  Accumulator acc;
+  Kernel kernel;
   float* out;
   int64_t n;
 };
+
+/// Writes one panel's accumulators (out_channels × width, row-major) to
+/// columns [col0, col0+width) of the output. This TU is built without
+/// target attributes, so no FMA contraction changes the float order.
+void store_panel(const FusedShardCtx& ctx, const int32_t* acc, int64_t col0,
+                 int64_t width) {
+  for (int64_t m = 0; m < ctx.weights.rows; ++m) {
+    const float b = ctx.bias ? ctx.bias[m] : 0.0f;
+    const int32_t* src = acc + m * width;
+    float* dst = ctx.out + m * ctx.n + col0;
+    if (!ctx.epilogue) {
+      for (int64_t j = 0; j < width; ++j)
+        dst[j] = ctx.real_scale * static_cast<float>(src[j]) + b;
+      continue;
+    }
+    const ChannelAffine ch = ctx.epilogue->channels[m];
+    const auto affine = [&](int32_t a) {
+      return (ctx.real_scale * static_cast<float>(a) + b) * ch.scale +
+             ch.shift + ch.bias;
+    };
+    switch (ctx.epilogue->act) {
+      case StoreActivation::kLinear:
+        for (int64_t j = 0; j < width; ++j) dst[j] = affine(src[j]);
+        break;
+      case StoreActivation::kRelu:
+        for (int64_t j = 0; j < width; ++j) {
+          const float x = affine(src[j]);
+          dst[j] = x > 0.0f ? x : 0.0f;
+        }
+        break;
+      case StoreActivation::kLeaky:
+        for (int64_t j = 0; j < width; ++j) {
+          const float x = affine(src[j]);
+          dst[j] = x > 0.0f ? x : 0.1f * x;
+        }
+        break;
+      case StoreActivation::kLogistic:
+        for (int64_t j = 0; j < width; ++j)
+          dst[j] = 1.0f / (1.0f + std::exp(-affine(src[j])));
+        break;
+    }
+  }
+}
 
 void run_fused_shard(int64_t lo, int64_t hi, void* p) {
   auto& ctx = *static_cast<FusedShardCtx*>(p);
@@ -216,13 +276,8 @@ void run_fused_shard(int64_t lo, int64_t hi, void* p) {
     int32_t col_sums[kNr];
     im2col_panel_u8(ctx.qimage, *ctx.g, col0, width, ctx.pad, panel, col_sums);
     gemm_lowp_packed_panel(ctx.weights, panel, col_sums, 0, width, width,
-                           ctx.input_zero, Accumulator::kI32, acc);
-    for (int64_t m = 0; m < out_channels; ++m) {
-      const float b = ctx.bias ? ctx.bias[m] : 0.0f;
-      for (int64_t j = 0; j < width; ++j)
-        ctx.out[m * ctx.n + col0 + j] =
-            ctx.real_scale * static_cast<float>(acc[m * width + j]) + b;
-    }
+                           ctx.input_zero, ctx.acc, acc, ctx.kernel);
+    store_panel(ctx, acc, col0, width);
   }
 }
 
@@ -230,7 +285,9 @@ void fused_conv_lowp_impl(const float* image, const ConvGeometry& g,
                           const quant::AffineParams& input_params,
                           const PackedLhsView& weights,
                           const quant::AffineParams& weight_params,
-                          const float* bias, float* out) {
+                          const float* bias, float* out,
+                          const GemmOptions& opts,
+                          const ConvEpilogue* epilogue) {
   // The fused path has no separable im2col stage; one span covers it.
   auto& registry = telemetry::MetricsRegistry::global();
   static telemetry::Histogram& fused_hist = registry.histogram("gemm.fused_ms");
@@ -239,12 +296,22 @@ void fused_conv_lowp_impl(const float* image, const ConvGeometry& g,
 
   const int64_t patch = g.patch_size(), n = g.num_patches();
   const int64_t out_channels = weights.rows;
+  core::ThreadPool& pool = opts.pool ? *opts.pool : core::ThreadPool::shared();
+  const int64_t shards =
+      shard_count(opts, pool, 2 * out_channels * n * patch);
+  threads_gauge.set(static_cast<double>(shards));
+  Accumulator acc = opts.acc;
+  if (acc == Accumulator::kAuto)
+    acc = acc16_safe(patch, weights.zero_point, input_params.zero_point)
+              ? Accumulator::kI16Shift4
+              : Accumulator::kI32;
+
   auto& arena = thread_arena();
   ScratchScope scope(arena);
   const int64_t pixels = g.in_channels * g.in_height * g.in_width;
   uint8_t* qimage = arena.alloc<uint8_t>(pixels);
-  for (int64_t i = 0; i < pixels; ++i)
-    qimage[i] = input_params.quantize(image[i]);
+  QuantizeShardCtx qctx{image, &input_params, qimage};
+  pool.parallel_for(0, pixels, shards, run_quantize_shard, &qctx);
 
   FusedShardCtx ctx{qimage,
                     &g,
@@ -253,16 +320,12 @@ void fused_conv_lowp_impl(const float* image, const ConvGeometry& g,
                     static_cast<uint8_t>(input_params.zero_point),
                     input_params.scale * weight_params.scale,
                     bias,
+                    epilogue,
+                    acc,
+                    resolve_kernel(opts.kernel),
                     out,
                     n};
-  core::ThreadPool& pool = core::ThreadPool::shared();
   const int64_t num_panels = (n + kNr - 1) / kNr;
-  const int64_t total_ops = 2 * out_channels * n * patch;
-  int64_t shards = 1;
-  constexpr int64_t kMinOpsPerShard = int64_t{1} << 18;
-  if (pool.threads() > 1 && total_ops >= 2 * kMinOpsPerShard)
-    shards = std::min<int64_t>(pool.threads(), total_ops / kMinOpsPerShard);
-  threads_gauge.set(static_cast<double>(shards));
   const int64_t chunks =
       shards == 1 ? 1 : std::min<int64_t>(num_panels, shards * 4);
   pool.parallel_for(0, num_panels, chunks, run_fused_shard, &ctx);
@@ -274,9 +337,11 @@ void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
                             const quant::AffineParams& input_params,
                             const PackedLhsView& weights,
                             const quant::AffineParams& weight_params,
-                            const float* bias, float* out) {
+                            const float* bias, float* out,
+                            const GemmOptions& opts,
+                            const ConvEpilogue* epilogue) {
   fused_conv_lowp_impl(image, g, input_params, weights, weight_params, bias,
-                       out);
+                       out, opts, epilogue);
 }
 
 void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
@@ -303,7 +368,8 @@ void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
   view.rows = out_channels;
   view.depth = patch;
   view.zero_point = weight_params.zero_point;
-  fused_conv_lowp_impl(image, g, input_params, view, weight_params, bias, out);
+  fused_conv_lowp_impl(image, g, input_params, view, weight_params, bias, out,
+                       {}, nullptr);
 }
 
 }  // namespace tincy::gemm

@@ -48,6 +48,26 @@ void conv_lowp_f32out(const float* image, const ConvGeometry& g,
                       const quant::AffineParams& weight_params,
                       const float* bias, float* out);
 
+/// Activation a fused conv store applies per element, with nn::apply's
+/// expressions for the same functions.
+enum class StoreActivation { kLinear, kRelu, kLeaky, kLogistic };
+
+/// One output channel's batch-norm and bias fold: y = x·scale + shift + bias.
+struct ChannelAffine {
+  float scale = 1.0f;
+  float shift = 0.0f;
+  float bias = 0.0f;
+};
+
+/// Per-output-channel epilogue of the fused conv store. With it the store
+/// writes act((real_scale·acc + b)·scale + shift + bias), the float order
+/// of a separate post pass over the plain store's real_scale·acc + b, so
+/// the two give bit-identical output.
+struct ConvEpilogue {
+  const ChannelAffine* channels = nullptr;  ///< out_channels entries
+  StoreActivation act = StoreActivation::kLinear;
+};
+
 /// Fused sliced variant of conv_lowp_f32out (strip im2col, immediate GEMM).
 void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
                             const quant::AffineParams& input_params,
@@ -56,12 +76,19 @@ void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
                             int64_t out_channels, const float* bias,
                             float* out);
 
-/// Packed-weight overload of the fused path.
+/// Packed-weight overload of the fused path. `opts` picks the accumulator
+/// (kI16Shift4 runs the paper's first-layer arithmetic; its tile holds
+/// 16·acc, so real_scale stays input·weight scale), the micro-kernel tier
+/// and the pool; the call shards by shard_count() and, when it does, also
+/// quantizes the image on the pool. A non-null `epilogue` applies the
+/// per-channel fold and activation in the store.
 void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
                             const quant::AffineParams& input_params,
                             const PackedLhsView& weights,
                             const quant::AffineParams& weight_params,
-                            const float* bias, float* out);
+                            const float* bias, float* out,
+                            const GemmOptions& opts = {},
+                            const ConvEpilogue* epilogue = nullptr);
 
 /// Strip im2col over uint8 codes: writes rows [0, patch_size) of columns
 /// [col0, col0+width) of the full column matrix, rows contiguous with

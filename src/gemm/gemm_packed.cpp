@@ -221,6 +221,15 @@ void gemm_lowp_i32_shift4(int64_t M, int64_t N, int64_t K, const uint8_t* A,
   }
 }
 
+int64_t shard_count(const GemmOptions& opts, const core::ThreadPool& pool,
+                    int64_t total_ops) {
+  if (!opts.allow_threads || pool.threads() <= 1 ||
+      total_ops < opts.min_ops_to_thread ||
+      total_ops < 2 * opts.min_ops_per_shard)
+    return 1;
+  return std::min<int64_t>(pool.threads(), total_ops / opts.min_ops_per_shard);
+}
+
 void gemm_lowp_packed(const PackedLhsView& lhs, const uint8_t* B,
                       int32_t rhs_zero, int64_t N, int32_t* C,
                       const GemmOptions& opts) {
@@ -245,13 +254,7 @@ void gemm_lowp_packed(const PackedLhsView& lhs, const uint8_t* B,
   const Kernel kernel = resolve_kernel(opts.kernel);
 
   core::ThreadPool& pool = opts.pool ? *opts.pool : core::ThreadPool::shared();
-  const int64_t total_ops = 2 * M * N * K;
-  int64_t shards = 1;
-  if (opts.allow_threads && pool.threads() > 1 &&
-      total_ops >= opts.min_ops_to_thread &&
-      total_ops >= 2 * opts.min_ops_per_shard)
-    shards = std::min<int64_t>(pool.threads(),
-                               total_ops / opts.min_ops_per_shard);
+  const int64_t shards = shard_count(opts, pool, 2 * M * N * K);
   threads_gauge.set(static_cast<double>(shards));
 
   const int64_t num_panels = ceil_div(N, kNr);

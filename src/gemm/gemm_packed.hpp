@@ -141,6 +141,13 @@ struct GemmOptions {
   int64_t min_ops_to_thread = int64_t{1} << 24;
 };
 
+/// Shards a call of `total_ops` operations (2·M·N·K) runs in on `pool`
+/// under `opts`: 1 unless threads are allowed, the pool has workers and the
+/// call clears both min_ops_to_thread and two shards of min_ops_per_shard.
+/// The one threading policy of every packed driver.
+int64_t shard_count(const GemmOptions& opts, const core::ThreadPool& pool,
+                    int64_t total_ops);
+
 /// Runs every row block of `lhs` against one packed K×kNr RHS panel (row
 /// stride kNr, per-column sums as produced by pack_rhs_panel) and writes
 /// the C columns [j0, j0+width) of a row-major M×N output. The building

@@ -11,6 +11,21 @@
 
 namespace tincy::nn {
 
+namespace {
+
+/// The fused conv store's form of `a`.
+gemm::StoreActivation store_activation(Activation a) {
+  switch (a) {
+    case Activation::kLinear: return gemm::StoreActivation::kLinear;
+    case Activation::kRelu: return gemm::StoreActivation::kRelu;
+    case Activation::kLeaky: return gemm::StoreActivation::kLeaky;
+    case Activation::kLogistic: return gemm::StoreActivation::kLogistic;
+  }
+  throw Error("activation without a store form");
+}
+
+}  // namespace
+
 ConvLayer::ConvLayer(const ConvConfig& cfg, Shape input_shape) : cfg_(cfg) {
   TINCY_CHECK_MSG(input_shape.rank() == 3,
                   "conv input " << input_shape.to_string());
@@ -49,6 +64,7 @@ void ConvLayer::invalidate_cached_quantization() {
   lowp_params_.reset();
   packed_lowp_.reset();
   sym_weight_cache_.reset();
+  affine_cache_.reset();
 }
 
 const quant::BinaryMatrix& ConvLayer::binary_weights() const {
@@ -113,21 +129,30 @@ const std::vector<ConvLayer::ChannelThresholds>& ConvLayer::quant_thresholds()
   return *threshold_cache_;
 }
 
+gemm::ChannelAffine ConvLayer::channel_affine(int64_t c) const {
+  gemm::ChannelAffine a;
+  if (cfg_.batch_normalize) {
+    const float inv_sigma =
+        1.0f / std::sqrt(bn_var_[c] + kBatchNormEps);
+    a.scale = bn_scales_[c] * inv_sigma;
+    a.shift = -bn_mean_[c] * a.scale;
+  }
+  a.bias = biases_[c];
+  return a;
+}
+
 void ConvLayer::apply_post(Tensor& out) const {
   const int64_t n = geom_.num_patches();
   for (int64_t c = 0; c < cfg_.filters; ++c) {
-    float scale = 1.0f, shift = 0.0f;
-    if (cfg_.batch_normalize) {
-      const float inv_sigma =
-          1.0f / std::sqrt(bn_var_[c] + kBatchNormEps);
-      scale = bn_scales_[c] * inv_sigma;
-      shift = -bn_mean_[c] * scale;
-    }
-    const float bias = biases_[c];
+    const gemm::ChannelAffine a = channel_affine(c);
     float* row = out.data() + c * n;
     for (int64_t j = 0; j < n; ++j)
-      row[j] = apply(cfg_.activation, row[j] * scale + shift + bias);
+      row[j] = apply(cfg_.activation, row[j] * a.scale + a.shift + a.bias);
   }
+  snap_activations(out);
+}
+
+void ConvLayer::snap_activations(Tensor& out) const {
   if (cfg_.bipolar) {
     // W1A1: the sign is the activation.
     const quant::BipolarActQuant q{cfg_.out_scale};
@@ -198,14 +223,35 @@ void ConvLayer::forward_lowp(const Tensor& in, Tensor& out, ConvKernel k) {
     }
     case ConvKernel::kFirstLayerAcc32:
     case ConvKernel::kFirstLayerAcc16: {
-      TINCY_CHECK(cfg_.filters == gemm::kFirstLayerChannels);
-      if (!sym_weight_cache_)
+      TINCY_CHECK(cfg_.filters == gemm::kFirstLayerChannels &&
+                  gemm::first_layer_geometry_ok(geom_));
+      if (!sym_weight_cache_) {
         sym_weight_cache_ = gemm::quantize_symmetric(weights_);
-      auto fn = (k == ConvKernel::kFirstLayerAcc32)
-                    ? gemm::first_layer_lowp_acc32
-                    : gemm::first_layer_lowp_acc16;
-      fn(in.data(), geom_, in_params, *sym_weight_cache_, nullptr, out.data());
-      break;
+        packed_lowp_ = gemm::pack_symmetric(*sym_weight_cache_, cfg_.filters);
+        affine_cache_.emplace();
+        for (int64_t c = 0; c < cfg_.filters; ++c)
+          affine_cache_->push_back(channel_affine(c));
+      }
+      // The packed engine runs the paper's arithmetic: kI16Shift4 is the
+      // lane model's rshift-4 + saturating add, in the same K order, so
+      // the output is bit-identical to first_layer_lowp_acc16/acc32
+      // followed by apply_post. The saturating path is what the paper
+      // runs, so it is requested explicitly rather than through kAuto.
+      gemm::GemmOptions opts;
+      opts.acc = k == ConvKernel::kFirstLayerAcc16
+                     ? gemm::Accumulator::kI16Shift4
+                     : gemm::Accumulator::kI32;
+      const quant::AffineParams w_params{sym_weight_cache_->scale,
+                                         gemm::kSymmetricZeroPoint};
+      // BN, bias and activation run in the engine's store, in apply_post's
+      // float order; only the A-bit snap is left as a separate pass.
+      const gemm::ConvEpilogue epilogue{affine_cache_->data(),
+                                        store_activation(cfg_.activation)};
+      gemm::fused_conv_lowp_f32out(in.data(), geom_, in_params, *packed_lowp_,
+                                   w_params, nullptr, out.data(), opts,
+                                   &epilogue);
+      snap_activations(out);
+      return;
     }
     default:
       throw Error("not a lowp conv kernel");

@@ -7,8 +7,12 @@
 ///  * kFused          — fused sliced im2col+GEMM, NEON float lanes (§III-D),
 ///  * kLowp           — 8-bit gemmlowp-style path (explicit im2col),
 ///  * kFusedLowp      — 8-bit fused sliced path,
-///  * kFirstLayerF32 / kFirstLayerAcc32 / kFirstLayerAcc16
-///                    — the fully specialized 16×27 kernels,
+///  * kFirstLayerF32   — the fully specialized 16×27 float kernel,
+///  * kFirstLayerAcc32 / kFirstLayerAcc16
+///                    — the paper's 8-bit 16×27 first layer with 32- or
+///                      16-bit (rshift-4, saturating) accumulators, run on
+///                      the packed engine's fused driver with BN, bias and
+///                      activation applied in its store,
 ///  * kQuantReference — bit-exact W1A<abits> QNN semantics (binarized
 ///    weights, thresholded activations); this is the golden model the
 ///    fabric accelerator must reproduce exactly.
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "gemm/first_layer.hpp"
+#include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
 #include "nn/activation.hpp"
@@ -112,8 +117,14 @@ class ConvLayer final : public Layer {
   void forward_float(const Tensor& in, Tensor& out, ConvKernel k);
   void forward_lowp(const Tensor& in, Tensor& out, ConvKernel k);
   void forward_quant_reference(const Tensor& in, Tensor& out);
-  /// Applies BN (from statistics), bias and activation in place.
+  /// Applies BN (from statistics), bias and activation in place, then
+  /// snap_activations.
   void apply_post(Tensor& out) const;
+  /// Snaps the output onto the A-bit (or bipolar) activation grid of
+  /// quantized-activation layers; a no-op for 8-bit and float layers.
+  void snap_activations(Tensor& out) const;
+  /// Channel c's fold of BN statistics and bias: y = x·scale + shift + bias.
+  gemm::ChannelAffine channel_affine(int64_t c) const;
 
   ConvConfig cfg_;
   gemm::ConvGeometry geom_;
@@ -133,6 +144,8 @@ class ConvLayer final : public Layer {
   /// packed once per weight mutation, reused every frame).
   mutable std::optional<gemm::PackedLhs> packed_lowp_;
   mutable std::optional<gemm::SymmetricWeights> sym_weight_cache_;
+  /// channel_affine() of every channel, for the fused store's epilogue.
+  mutable std::optional<std::vector<gemm::ChannelAffine>> affine_cache_;
 };
 
 /// Batch-norm epsilon shared by inference and the threshold fold.

@@ -20,9 +20,12 @@ void fill_rect(Tensor& image, int64_t x0, int64_t y0, int64_t x1, int64_t y1,
   x1 = std::clamp<int64_t>(x1, 0, W - 1);
   y0 = std::clamp<int64_t>(y0, 0, H - 1);
   y1 = std::clamp<int64_t>(y1, 0, H - 1);
-  for (int64_t y = y0; y <= y1; ++y)
-    for (int64_t x = x0; x <= x1; ++x)
-      for (int c = 0; c < 3; ++c) image.at(c, y, x) = rgb[c];
+  if (x0 > x1 || y0 > y1) return;
+  for (int64_t c = 0; c < 3; ++c) {
+    float* plane = image.data() + c * H * W;
+    for (int64_t y = y0; y <= y1; ++y)
+      std::fill(plane + y * W + x0, plane + y * W + x1 + 1, rgb[c]);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <filesystem>
 
+#include "core/rng.hpp"
 #include "data/image.hpp"
 #include "data/synthdigits.hpp"
 #include "data/synthvoc.hpp"
@@ -107,6 +109,60 @@ TEST(Image, LetterboxSquareNoPadding) {
   for (int64_t i = 0; i < boxed.numel(); ++i) EXPECT_NEAR(boxed[i], 0.9f, 1e-5f);
 }
 
+/// Bilinear sample of `img` at output (oy, ox) of an out_h × out_w
+/// resize, one checked at() per tap: the per-pixel form the resize
+/// kernel must reproduce bit for bit.
+float naive_bilinear(const Tensor& img, int64_t c, int64_t oy, int64_t ox,
+                     int64_t out_h, int64_t out_w) {
+  const int64_t H = img.shape().height(), W = img.shape().width();
+  const float sy = out_h > 1 ? static_cast<float>(H - 1) / static_cast<float>(out_h - 1) : 0.0f;
+  const float sx = out_w > 1 ? static_cast<float>(W - 1) / static_cast<float>(out_w - 1) : 0.0f;
+  const float fy = static_cast<float>(oy) * sy;
+  const int64_t y0 = static_cast<int64_t>(fy);
+  const int64_t y1 = std::min(y0 + 1, H - 1);
+  const float wy = fy - static_cast<float>(y0);
+  const float fx = static_cast<float>(ox) * sx;
+  const int64_t x0 = static_cast<int64_t>(fx);
+  const int64_t x1 = std::min(x0 + 1, W - 1);
+  const float wx = fx - static_cast<float>(x0);
+  return (1 - wy) * ((1 - wx) * img.at(c, y0, x0) + wx * img.at(c, y0, x1)) +
+         wy * ((1 - wx) * img.at(c, y1, x0) + wx * img.at(c, y1, x1));
+}
+
+TEST(Image, ResizeAndLetterboxMatchNaiveBilinearBitwise) {
+  Rng rng(5);
+  // Wide, tall, square; down- and upscaling; odd extents; a 1-pixel side.
+  const std::array<std::array<int64_t, 3>, 6> cases{{{37, 53, 29},
+                                                     {53, 37, 29},
+                                                     {48, 64, 416},
+                                                     {480, 640, 416},
+                                                     {9, 9, 9},
+                                                     {1, 17, 8}}};
+  for (const auto& [h, w, size] : cases) {
+    Tensor img(Shape{3, h, w});
+    for (int64_t i = 0; i < img.numel(); ++i) img[i] = rng.uniform(0.0f, 1.0f);
+    const Tensor boxed = data::letterbox(img, size);
+    const int64_t new_w = w >= h ? size : std::max<int64_t>(1, w * size / h);
+    const int64_t new_h = w >= h ? std::max<int64_t>(1, h * size / w) : size;
+    const int64_t off_y = (size - new_h) / 2, off_x = (size - new_w) / 2;
+    const Tensor resized = data::resize_bilinear(img, new_h, new_w);
+    int64_t mismatches = 0;
+    for (int64_t c = 0; c < 3; ++c)
+      for (int64_t y = 0; y < size; ++y)
+        for (int64_t x = 0; x < size; ++x) {
+          const bool inside = y >= off_y && y < off_y + new_h &&
+                              x >= off_x && x < off_x + new_w;
+          const float want =
+              inside ? naive_bilinear(img, c, y - off_y, x - off_x, new_h, new_w)
+                     : 0.5f;
+          mismatches += boxed.at(c, y, x) != want;
+          if (inside)
+            mismatches += resized.at(c, y - off_y, x - off_x) != want;
+        }
+    EXPECT_EQ(mismatches, 0) << h << "x" << w << " -> " << size;
+  }
+}
+
 TEST(Image, UnletterboxInvertsBoxMapping) {
   // A box at known original coords, letterboxed, must map back.
   const int64_t ow = 100, oh = 50, size = 64;
@@ -170,6 +226,56 @@ TEST(Draw, ClipsOutOfImageBoxes) {
   std::vector<detect::Detection> dets{
       {{0.0f, 0.0f, 0.8f, 0.8f}, 1, 0.9f, 1.0f}};  // spills over the corner
   EXPECT_NO_THROW(video::draw_detections(img, dets));
+}
+
+TEST(Draw, MatchesNaivePerPixelReference) {
+  // Boxes inside, clipped on every side, touching the image edges,
+  // degenerate (zero width) and larger than the image, at thickness 1-4;
+  // the row fill must write exactly the pixels a per-pixel fill writes.
+  const int64_t H = 23, W = 31;
+  const std::vector<detect::Detection> dets{
+      {{0.5f, 0.5f, 0.4f, 0.3f}, 0, 0.9f, 1.0f},
+      {{0.0f, 0.0f, 0.8f, 0.8f}, 1, 0.9f, 1.0f},
+      {{1.0f, 1.0f, 0.5f, 0.7f}, 2, 0.9f, 1.0f},
+      {{0.5f, 0.5f, 1.0f, 1.0f}, 3, 0.9f, 1.0f},
+      {{0.5f, 0.5f, 1.6f, 0.2f}, 4, 0.9f, 1.0f},
+      {{0.3f, 0.7f, 0.0f, 0.3f}, 13, 0.9f, 1.0f},
+      {{0.9f, 0.1f, 0.05f, 0.05f}, -1, 0.9f, 1.0f},
+  };
+  const float colors[8][3] = {
+      {1.0f, 0.2f, 0.2f}, {0.2f, 1.0f, 0.2f}, {0.3f, 0.4f, 1.0f},
+      {1.0f, 1.0f, 0.2f}, {1.0f, 0.3f, 1.0f}, {0.2f, 1.0f, 1.0f},
+      {1.0f, 0.6f, 0.2f}, {0.9f, 0.9f, 0.9f}};
+  for (int t = 1; t <= 4; ++t) {
+    Tensor want(Shape{3, H, W});
+    for (int64_t i = 0; i < want.numel(); ++i)
+      want[i] = static_cast<float>(i % 7) * 0.01f;
+    Tensor got = want;
+    video::draw_detections(got, dets, t);
+    for (const auto& d : dets) {
+      const float* rgb = colors[(d.class_id >= 0 ? d.class_id : 0) % 8];
+      const auto x0 = static_cast<int64_t>(d.box.left() * static_cast<float>(W));
+      const auto x1 = static_cast<int64_t>(d.box.right() * static_cast<float>(W));
+      const auto y0 = static_cast<int64_t>(d.box.top() * static_cast<float>(H));
+      const auto y1 = static_cast<int64_t>(d.box.bottom() * static_cast<float>(H));
+      const auto fill = [&](int64_t ax, int64_t ay, int64_t bx, int64_t by) {
+        ax = std::clamp<int64_t>(ax, 0, W - 1);
+        bx = std::clamp<int64_t>(bx, 0, W - 1);
+        ay = std::clamp<int64_t>(ay, 0, H - 1);
+        by = std::clamp<int64_t>(by, 0, H - 1);
+        for (int64_t y = ay; y <= by; ++y)
+          for (int64_t x = ax; x <= bx; ++x)
+            for (int64_t c = 0; c < 3; ++c) want.at(c, y, x) = rgb[c];
+      };
+      fill(x0, y0, x1, y0 + t - 1);
+      fill(x0, y1 - t + 1, x1, y1);
+      fill(x0, y0, x0 + t - 1, y1);
+      fill(x1 - t + 1, y0, x1, y1);
+    }
+    int64_t mismatches = 0;
+    for (int64_t i = 0; i < want.numel(); ++i) mismatches += got[i] != want[i];
+    EXPECT_EQ(mismatches, 0) << "thickness " << t;
+  }
 }
 
 TEST(Ppm, RoundTrip) {

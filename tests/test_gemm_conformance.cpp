@@ -5,7 +5,11 @@
 // gemm_lowp_i32_shift4 — on randomized shapes, on skinny-K/skinny-N
 // shapes, on saturation-boundary inputs, at zero-point extremes, on the
 // GEMV fast path, and under forced thread sharding (the panel-chunking
-// path the TSan preset audits).
+// path the TSan preset audits). The same contract covers the paper's
+// first layer: a `first16_acc16` / `first16_acc32` ConvLayer runs on the
+// packed engine's fused driver and must be bit-identical to the §III-D
+// lane models (first_layer_lowp_acc16/acc32) followed by the layer's
+// BN/bias/activation pass, saturating inputs included.
 //
 // This suite is the contract that lets future kernel work (new ISA
 // variants, multi-engine scale-out, new topologies) land without parity
@@ -18,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -27,7 +33,10 @@
 #include "core/thread_pool.hpp"
 #include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_packed.hpp"
+#include "gemm/first_layer.hpp"
 #include "gemm/kernels.hpp"
+#include "nn/conv_layer.hpp"
+#include "quant/affine.hpp"
 
 namespace tincy::gemm {
 namespace {
@@ -182,6 +191,240 @@ TEST(GemmConformance, GemvFastPathTailHandling) {
     const auto b = edge_biased_codes(rng, s.K * s.N);
     expect_all_variants_conform(s, 254, 3, a, b);
     if (HasFatalFailure()) return;
+  }
+}
+
+// --- The first layer on the packed engine ------------------------------
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// Per-channel BN/bias fold of ConvLayer::apply_post, restated.
+std::vector<ChannelAffine> reference_affine(const nn::ConvLayer& layer) {
+  std::vector<ChannelAffine> v(static_cast<size_t>(layer.config().filters));
+  for (int64_t c = 0; c < layer.config().filters; ++c) {
+    ChannelAffine& a = v[static_cast<size_t>(c)];
+    if (layer.config().batch_normalize) {
+      const float inv_sigma =
+          1.0f / std::sqrt(layer.bn_var()[c] + nn::kBatchNormEps);
+      a.scale = layer.bn_scales()[c] * inv_sigma;
+      a.shift = -layer.bn_mean()[c] * a.scale;
+    }
+    a.bias = layer.biases()[c];
+  }
+  return v;
+}
+
+/// The oracle of a first16 forward: the §III-D lane model, then the
+/// separate BN/bias/activation pass and A-bit snap of ConvLayer.
+Tensor first_layer_oracle(const nn::ConvLayer& layer, const Tensor& in,
+                          bool acc16) {
+  const auto [lo, hi] = quant::min_max(in);
+  const quant::AffineParams in_params = quant::choose_affine_params(lo, hi);
+  const SymmetricWeights sym = quantize_symmetric(layer.weights());
+  Tensor out(layer.output_shape());
+  (acc16 ? first_layer_lowp_acc16 : first_layer_lowp_acc32)(
+      in.data(), layer.geometry(), in_params, sym, nullptr, out.data());
+  const auto affine = reference_affine(layer);
+  const int64_t n = layer.geometry().num_patches();
+  for (int64_t c = 0; c < layer.config().filters; ++c) {
+    const ChannelAffine& a = affine[static_cast<size_t>(c)];
+    for (int64_t j = 0; j < n; ++j) {
+      float& v = out[c * n + j];
+      v = nn::apply(layer.config().activation, v * a.scale + a.shift + a.bias);
+    }
+  }
+  if (layer.config().act_bits < 8) {
+    const quant::UniformActQuant q{layer.config().act_bits,
+                                   layer.config().out_scale};
+    for (int64_t i = 0; i < out.numel(); ++i)
+      out[i] = q.dequantize(q.quantize(out[i]));
+  }
+  return out;
+}
+
+struct FirstLayerCase {
+  int64_t h, w, stride;
+  nn::Activation act;
+  bool bn;
+  int act_bits = 32;
+};
+
+/// A first-layer ConvLayer (16 filters over 3 channels, 3×3) with random
+/// weights, biases and BN statistics.
+std::unique_ptr<nn::ConvLayer> make_first_layer(const FirstLayerCase& c,
+                                                nn::ConvKernel kernel,
+                                                Rng& rng) {
+  nn::ConvConfig cfg;
+  cfg.filters = kFirstLayerChannels;
+  cfg.size = 3;
+  cfg.stride = c.stride;
+  cfg.activation = c.act;
+  cfg.batch_normalize = c.bn;
+  cfg.act_bits = c.act_bits;
+  cfg.kernel = kernel;
+  auto layer = std::make_unique<nn::ConvLayer>(cfg, tincy::Shape{3, c.h, c.w});
+  Tensor& w = layer->weights();
+  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal(0.0f, 0.3f);
+  for (int64_t i = 0; i < cfg.filters; ++i) {
+    layer->biases()[i] = rng.normal(0.0f, 0.2f);
+    if (c.bn) {
+      layer->bn_scales()[i] = rng.uniform(-1.2f, 1.2f);
+      layer->bn_mean()[i] = rng.normal(0.0f, 0.3f);
+      layer->bn_var()[i] = rng.uniform(0.5f, 1.5f);
+    }
+  }
+  layer->invalidate_cached_quantization();
+  return layer;
+}
+
+Tensor random_image(Rng& rng, int64_t h, int64_t w) {
+  Tensor in(tincy::Shape{3, h, w});
+  // A range straddling zero puts the input zero point mid-scale.
+  for (int64_t i = 0; i < in.numel(); ++i) in[i] = rng.uniform(-0.4f, 1.0f);
+  return in;
+}
+
+/// Restores TINCY_GEMM_KERNEL on scope exit.
+struct KernelOverride {
+  explicit KernelOverride(Kernel k) {
+    setenv("TINCY_GEMM_KERNEL", kernel_name(k), 1);
+  }
+  ~KernelOverride() { unsetenv("TINCY_GEMM_KERNEL"); }
+};
+
+TEST(FirstLayerConformance, ConvLayerMatchesLaneModelOnEveryTier) {
+  // Odd extents, N = out_h·out_w not a multiple of kNr, stride 1 and 2,
+  // every store activation, with and without BN, and one A-bit snap. The
+  // 104×200 case clears the shared pool's threading floor (18 Mop ≥ 2^24),
+  // so the frame's sharded route is covered too.
+  const FirstLayerCase cases[] = {
+      {17, 23, 1, nn::Activation::kLeaky, true},
+      {17, 23, 2, nn::Activation::kRelu, false},
+      {31, 9, 1, nn::Activation::kLinear, true},
+      {31, 9, 2, nn::Activation::kLeaky, false},
+      {13, 13, 2, nn::Activation::kRelu, true, 3},
+      {5, 4, 1, nn::Activation::kLogistic, true},
+      {104, 200, 1, nn::Activation::kLeaky, true},
+  };
+  Rng rng(1806);
+  for (Kernel k : dispatchable_kernels()) {
+    KernelOverride env(k);
+    for (const FirstLayerCase& c : cases) {
+      const Tensor in = random_image(rng, c.h, c.w);
+      for (const bool acc16 : {true, false}) {
+        auto layer = make_first_layer(
+            c,
+            acc16 ? nn::ConvKernel::kFirstLayerAcc16
+                  : nn::ConvKernel::kFirstLayerAcc32,
+            rng);
+        const Tensor want = first_layer_oracle(*layer, in, acc16);
+        Tensor got(layer->output_shape(), -1.0f);
+        layer->forward(in, got);
+        ASSERT_TRUE(bitwise_equal(want, got))
+            << "kernel=" << kernel_name(k) << (acc16 ? " acc16" : " acc32")
+            << " " << c.h << "x" << c.w << " stride " << c.stride
+            << " act=" << nn::activation_name(c.act) << " bn=" << c.bn;
+        // A warm second frame reuses the cached packed weights and fold.
+        std::fill(got.data(), got.data() + got.numel(), -1.0f);
+        layer->forward(in, got);
+        ASSERT_TRUE(bitwise_equal(want, got)) << "warm frame";
+      }
+    }
+  }
+}
+
+TEST(FirstLayerConformance, ForcedSaturationMatchesAndSaturates) {
+  // The top code everywhere and ±127 weights of one sign per channel: an
+  // interior pixel sums 27 products of 255·127, far past the i16 rail
+  // after the shift, so acc16 saturates (positive channels at +32767,
+  // negative ones at −32768) while acc32 stays exact.
+  FirstLayerCase c{19, 21, 1, nn::Activation::kLinear, false};
+  Tensor in(tincy::Shape{3, c.h, c.w}, 1.0f);
+  Rng rng(7);
+  for (Kernel k : dispatchable_kernels()) {
+    KernelOverride env(k);
+    Tensor out[2];
+    for (const bool acc16 : {true, false}) {
+      auto layer = make_first_layer(
+          c,
+          acc16 ? nn::ConvKernel::kFirstLayerAcc16
+                : nn::ConvKernel::kFirstLayerAcc32,
+          rng);
+      Tensor& w = layer->weights();
+      const int64_t patch = layer->geometry().patch_size();
+      for (int64_t i = 0; i < w.numel(); ++i)
+        w[i] = (i / patch) % 2 == 0 ? 0.5f : -0.5f;
+      for (int64_t m = 0; m < kFirstLayerChannels; ++m)
+        layer->biases()[m] = 0.0f;
+      layer->invalidate_cached_quantization();
+      const Tensor want = first_layer_oracle(*layer, in, acc16);
+      Tensor& got = out[acc16 ? 0 : 1];
+      got = Tensor(layer->output_shape(), -1.0f);
+      layer->forward(in, got);
+      ASSERT_TRUE(bitwise_equal(want, got))
+          << "kernel=" << kernel_name(k) << (acc16 ? " acc16" : " acc32");
+    }
+    // Saturation really happened: acc16 differs from acc32 exactly where
+    // the sum crossed the rail, and there it sits on the rail.
+    const int64_t n = out[0].numel() / kFirstLayerChannels;
+    const int64_t interior = (c.h / 2) * c.w + c.w / 2;
+    EXPECT_FALSE(bitwise_equal(out[0], out[1]));
+    EXPECT_LT(out[0][interior], out[1][interior]);       // channel 0: +rail
+    EXPECT_GT(out[0][n + interior], out[1][n + interior]);  // channel 1: −rail
+    EXPECT_EQ(out[0][interior], out[0][2 * n + interior]);
+  }
+}
+
+TEST(FirstLayerConformance, ForcedShardingMatchesOneThread) {
+  // The fused driver sharded over a private pool (panels and the image
+  // quantization both fan out) against one thread and against the lane
+  // model, for both accumulators and every tier, with the epilogue. This
+  // is the TSan target of the first-layer route.
+  core::ThreadPool pool(4);
+  GemmOptions forced;
+  forced.pool = &pool;
+  forced.min_ops_per_shard = 1;
+  forced.min_ops_to_thread = 1;
+  GemmOptions single;
+  single.allow_threads = false;
+  Rng rng(2024);
+  const FirstLayerCase cases[] = {
+      {33, 29, 1, nn::Activation::kLeaky, true},
+      {31, 9, 2, nn::Activation::kRelu, true},
+  };
+  for (const FirstLayerCase& c : cases) {
+    const Tensor in = random_image(rng, c.h, c.w);
+    const auto [lo, hi] = quant::min_max(in);
+    const quant::AffineParams in_params = quant::choose_affine_params(lo, hi);
+    for (const bool acc16 : {true, false}) {
+      auto layer = make_first_layer(c, nn::ConvKernel::kFirstLayerAcc16, rng);
+      const Tensor want = first_layer_oracle(*layer, in, acc16);
+      const SymmetricWeights sym = quantize_symmetric(layer->weights());
+      const PackedLhs packed = pack_symmetric(sym, kFirstLayerChannels);
+      const auto affine = reference_affine(*layer);
+      const ConvEpilogue epilogue{affine.data(),
+                                  c.act == nn::Activation::kLeaky
+                                      ? StoreActivation::kLeaky
+                                      : StoreActivation::kRelu};
+      const quant::AffineParams w_params{sym.scale, kSymmetricZeroPoint};
+      for (Kernel k : dispatchable_kernels()) {
+        for (GemmOptions opts : {forced, single}) {
+          opts.kernel = k;
+          opts.acc = acc16 ? Accumulator::kI16Shift4 : Accumulator::kI32;
+          Tensor got(layer->output_shape(), -1.0f);
+          fused_conv_lowp_f32out(in.data(), layer->geometry(), in_params,
+                                 packed, w_params, nullptr, got.data(), opts,
+                                 &epilogue);
+          ASSERT_TRUE(bitwise_equal(want, got))
+              << "kernel=" << kernel_name(k) << (acc16 ? " acc16" : " acc32")
+              << (opts.pool ? " sharded" : " one thread");
+        }
+      }
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // (gemm_packed.hpp): bit-exact parity with the scalar oracles across
 // awkward shapes, the pack layout contract, accumulator auto-selection,
 // the incremental im2col strip, the zero-allocation steady state of the
-// hot paths, and thread-pool correctness under concurrent load (the
+// hot paths (the first16_acc16 ConvLayer forward among them), and thread-pool correctness under concurrent load (the
 // latter is the TINCY_SANITIZE=thread target).
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
 #include "gemm/scratch.hpp"
+#include "nn/conv_layer.hpp"
 #include "quant/affine.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -401,6 +402,55 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
 
   EXPECT_EQ(heap_after - heap_before, 0)
       << "steady-state frames must not allocate";
+  EXPECT_EQ(arena_after - arena_before, 0)
+      << "arena must not grow after warm-up";
+  EXPECT_EQ(blocks_after - blocks_before, 0)
+      << "no arena (caller or pool worker) may grow after warm-up";
+}
+
+TEST(ZeroAllocation, WarmFirstLayerForwardDoesNotTouchTheHeap) {
+  // The paper's first layer as a network runs it: a first16_acc16
+  // ConvLayer on the packed engine, once below the threading floor (the
+  // calling thread alone) and once above it (sharded on the shared pool,
+  // image quantization included). Warm frames take every buffer from the
+  // thread arenas; 50 passes let a per-pass leak surface as a new block.
+  std::vector<std::unique_ptr<nn::ConvLayer>> layers;
+  std::vector<Tensor> ins, outs;
+  Rng rng(103);
+  for (const int64_t w : {24, 200}) {
+    nn::ConvConfig cfg;
+    cfg.filters = 16;
+    cfg.size = 3;
+    cfg.batch_normalize = true;
+    cfg.kernel = nn::ConvKernel::kFirstLayerAcc16;
+    auto layer = std::make_unique<nn::ConvLayer>(cfg, Shape{3, 104, w});
+    for (int64_t i = 0; i < layer->weights().numel(); ++i)
+      layer->weights()[i] = rng.normal(0.0f, 0.3f);
+    Tensor in(Shape{3, 104, w});
+    for (int64_t i = 0; i < in.numel(); ++i) in[i] = rng.uniform(0.0f, 1.0f);
+    outs.emplace_back(layer->output_shape());
+    ins.push_back(std::move(in));
+    layers.push_back(std::move(layer));
+  }
+  auto run_frame = [&] {
+    for (size_t i = 0; i < layers.size(); ++i)
+      layers[i]->forward(ins[i], outs[i]);
+  };
+  // Warm-up: fills the layer caches and sizes the arena of every pool
+  // worker that claims a panel chunk; 20 frames give each worker many
+  // chances to have claimed one.
+  for (int i = 0; i < 20; ++i) run_frame();
+
+  const int64_t arena_before = thread_arena().heap_allocations();
+  const int64_t blocks_before = arena_blocks_acquired();
+  const int64_t heap_before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 50; ++i) run_frame();
+  const int64_t heap_after = g_heap_allocs.load(std::memory_order_relaxed);
+  const int64_t blocks_after = arena_blocks_acquired();
+  const int64_t arena_after = thread_arena().heap_allocations();
+
+  EXPECT_EQ(heap_after - heap_before, 0)
+      << "warm first-layer frames must not allocate";
   EXPECT_EQ(arena_after - arena_before, 0)
       << "arena must not grow after warm-up";
   EXPECT_EQ(blocks_after - blocks_before, 0)
