@@ -10,8 +10,10 @@
 // one footprint per output pixel, Mvtu::compute_batch thresholds it: the
 // accelerator's execution before the engine existed and now its oracle)
 // and through the engine once per dispatchable micro-kernel tier on one
-// thread, plus kAuto on the shared pool. Each row reports host ms, GOP/s
-// (2·filters·C·K²·pixels ops) and code parity with the per-column path.
+// thread, plus kAuto on the shared pool. Each row reports the engine's
+// words per bit-plane of a window (K·ceil(K·C/64): what the popcounts
+// touch, padding included), host ms, GOP/s (2·filters·C·K²·pixels ops)
+// and code parity with the per-column path.
 // The gate requires parity everywhere and the kAuto hidden stack to beat
 // the per-column stack by >= 30x on the shared pool and >= 10x on one
 // thread (the TINCY_GEMM_THREADS=1 configuration), and writes the rows to
@@ -132,8 +134,8 @@ int run(const char* json_path, bool gate) {
      << "  \"threads\": " << threads << ",\n  \"dispatched_tier\": \""
      << popcount_tier_name(dispatched) << "\",\n  \"layers\": [";
 
-  std::printf("%-6s %-14s %-18s %10s %9s %s\n", "layer", "C,HW->F",
-              "variant", "ms", "GOP/s", "parity");
+  std::printf("%-6s %-14s %5s %-18s %10s %9s %s\n", "layer", "C,HW->F",
+              "words", "variant", "ms", "GOP/s", "parity");
   for (size_t li = 0; li < std::size(kTincy416); ++li) {
     const HiddenLayer& l = kTincy416[li];
     const LayerData d = make_layer(l, 4160 + li);
@@ -180,11 +182,13 @@ int run(const char* json_path, bool gate) {
                   static_cast<long long>(l.filters));
     js << (li ? "," : "") << "\n    {\"layer\": " << li << ", \"channels\": "
        << l.channels << ", \"hw\": " << l.hw << ", \"filters\": " << l.filters
+       << ", \"words_per_plane\": " << engine.words_per_plane()
        << ", \"gop\": " << d.ops / 1e9 << ", \"rows\": [";
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       const double gops = d.ops / (r.ms * 1e6);
-      std::printf("%-6zu %-14s %-18s %10.3f %9.1f %s\n", li, shape,
+      std::printf("%-6zu %-14s %5lld %-18s %10.3f %9.1f %s\n", li, shape,
+                  static_cast<long long>(engine.words_per_plane()),
                   r.variant.c_str(), r.ms, gops, r.parity ? "ok" : "FAIL");
       js << (i ? ", " : "") << "\n      {\"variant\": \"" << r.variant
          << "\", \"host_ms\": " << r.ms << ", \"gops\": " << gops

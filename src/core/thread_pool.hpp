@@ -2,9 +2,13 @@
 
 /// \file thread_pool.hpp
 /// Small shared worker pool with an allocation-free parallel_for, used to
-/// shard GEMM work across the A53 cluster's idle cores (§III-D runs the
+/// shard host work across the A53 cluster's idle cores (§III-D runs the
 /// quantization-sensitive first/last layers on the CPU while the fabric
 /// handles the hidden layers; the other three cores were previously idle).
+/// Clients: the packed GEMM drivers (gemm/gemm_packed.hpp), the fabric
+/// simulator's bit-plane engine (fabric/bitserial.hpp: pack and pixel
+/// blocks), and Rng::fill_normal's Box–Muller transforms (core/rng.hpp:
+/// the synthetic camera's texture and weight initialization).
 ///
 /// Design constraints, in order:
 ///  * zero heap allocations on the submit path — a steady-state frame must

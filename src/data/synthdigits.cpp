@@ -45,14 +45,16 @@ DigitSample SynthDigits::sample(int64_t index) const {
   const float off_x = rng.uniform(1.0f, static_cast<float>(kSize) - glyph_w - 1.0f);
   const float off_y = rng.uniform(1.0f, static_cast<float>(kSize) - glyph_h - 1.0f);
 
+  // The noise is drawn first, in pixel order, then added to the glyph.
+  rng.fill_normal(s.image.span(), 0.0f, noise);
   for (int64_t y = 0; y < kSize; ++y) {
     for (int64_t x = 0; x < kSize; ++x) {
       const float gx = (static_cast<float>(x) + 0.5f - off_x) / scale;
       const float gy = (static_cast<float>(y) + 0.5f - off_y) / scale;
       const float value =
           font_bit(s.label, gx, gy) ? foreground : background;
-      s.image.at(0, y, x) =
-          std::clamp(value + rng.normal(0.0f, noise), 0.0f, 1.0f);
+      float& px = s.image.at(0, y, x);
+      px = std::clamp(value + px, 0.0f, 1.0f);
     }
   }
   return s;

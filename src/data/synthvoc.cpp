@@ -93,9 +93,9 @@ SynthSample SynthVoc::sample(int64_t index) const {
   out.image = Tensor(Shape{3, S, S});
   // Low-contrast noisy background.
   const float base = rng.uniform(0.25f, 0.55f);
-  for (int64_t i = 0; i < out.image.numel(); ++i)
-    out.image[i] =
-        std::clamp(base + rng.normal(0.0f, cfg_.background_noise), 0.0f, 1.0f);
+  const std::span<float> px = out.image.span();
+  rng.fill_normal(px, 0.0f, cfg_.background_noise);
+  for (float& v : px) v = std::clamp(base + v, 0.0f, 1.0f);
 
   const int64_t count = rng.uniform_int(1, cfg_.max_objects);
   for (int64_t n = 0; n < count; ++n) {

@@ -193,8 +193,7 @@ Tensor QnnAccelerator::forward(const Tensor& input) const {
       codes[static_cast<size_t>(i)] = in_q.quantize(input[i]);
   } else {
     const quant::UniformActQuant in_q{first.act_bits_in, first.in_scale};
-    for (int64_t i = 0; i < input.numel(); ++i)
-      codes[static_cast<size_t>(i)] = in_q.quantize(input[i]);
+    in_q.quantize(input.data(), input.numel(), codes.data());
   }
 
   const std::vector<uint8_t> out_codes = forward_codes(codes);

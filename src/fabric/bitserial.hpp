@@ -7,23 +7,31 @@
 /// per-column `SlidingWindowUnit` + `Mvtu` models, without their
 /// per-column gathers and allocations.
 ///
-/// Layout (FINN-R's SIMD folding along input channels):
-///  * weights are repacked once, tap-major: row r holds K² tap groups of
-///    Cw = ceil(C/64) words, bit c of group t is weight column c·K² + t;
-///  * each frame's CHW codes are packed into zero-padded HWC bit-planes,
+/// Layout (FINN-R's SIMD folding along input channels), one dense word
+/// order for every C:
+///  * each frame's CHW codes are packed into zero-padded bit-plane lines,
 ///    one band of output rows at a time (the whole frame when the call is
-///    sharded): pixel (y, x) holds A planes of Cw words, so the channels
-///    of one pixel fill one word per plane and im2col becomes word copies.
-///    A padding pixel is code 0, the exact zero of the unsigned grid;
-///  * output pixels run in blocks of kPixelLanes: the block's tap words
-///    are copied lane-interleaved ([plane][tap word][lane]) into per-thread
+///    sharded): padded row y holds A lines, and in each line pixel x is
+///    bits [x·C, x·C + C), back to back. A padding pixel is code 0, the
+///    exact zero of the unsigned grid;
+///  * so one kernel row of a window is K·C contiguous bits of a line, and
+///    im2col extracts it into kw_words = ceil(K·C/64) words (an aligned
+///    copy when 64 divides C, else a two-word shift; the bits past the
+///    window are masked to zero). A window is K·kw_words words per plane:
+///    3 for Tincy's first hidden layer (C = 16, K = 3), where a word per
+///    tap and channel group would take 9, 48 of every 64 bits padding;
+///  * weights are repacked once in the same (kh; kw·C + c) order: row r
+///    holds K segments of kw_words words, bit kw·C + c of segment kh is
+///    weight column c·K² + kh·K + kw, and the segment's tail bits are zero;
+///  * output pixels run in blocks of kPixelLanes: the block's window words
+///    are copied lane-interleaved ([plane][word][lane]) into per-thread
 ///    scratch, and one micro-kernel call applies every weight row to it.
 ///
 /// Identity (±1 weights w, unsigned A-bit activations a = Σ_b 2^b·a_b):
 ///   Σ w·a = Σ_b 2^b · (2·pc(w∧a_b) − pc(a_b))
 /// — one popcount per word, with pc(a_b) computed once per pixel. The
 /// bipolar (W1A1) encoding uses Σ w·a = cols − 2·pc(w⊕a), exact because
-/// the channel-tail bits are zero on both sides.
+/// the tail bits of each kernel row's last word are zero on both sides.
 ///
 /// Micro-kernel tiers (dispatched like gemm/kernels.hpp): kScalar is the
 /// portable std::popcount baseline, kPopcnt the same loops compiled with
@@ -70,9 +78,9 @@ std::vector<PopcountTier> dispatchable_popcount_tiers();
 
 /// One lane-interleaved block handed to a micro-kernel.
 struct PopcountTile {
-  const uint64_t* weights = nullptr;  ///< rows × words, tap-major
+  const uint64_t* weights = nullptr;  ///< rows × words, window order
   int64_t rows = 0;
-  int64_t words = 0;                  ///< K² · ceil(C/64)
+  int64_t words = 0;                  ///< K · ceil(K·C/64) per plane
   const uint64_t* act = nullptr;      ///< planes × words × kPixelLanes
   int planes = 0;
   int64_t cols = 0;                   ///< C·K² (bipolar identity only)
@@ -122,7 +130,10 @@ class BitSerialEngine {
   const std::vector<ThresholdChannel>& thresholds() const {
     return thresholds_;
   }
-  /// Repacked weights: rows × K²·ceil(C/64) words, tap-major.
+  /// Words of one window per bit-plane (and of one weight row):
+  /// K · ceil(K·C/64).
+  int64_t words_per_plane() const { return words_per_plane_; }
+  /// Repacked weights: rows × words_per_plane() words, window order.
   const uint64_t* packed_weights() const { return weights_.data(); }
 
   /// Threshold codes of `batch` stacked CHW input code maps: `out` holds
@@ -153,11 +164,11 @@ class BitSerialEngine {
 
   gemm::ConvGeometry geom_;
   int64_t rows_ = 0;
-  int64_t channel_words_ = 0;  ///< Cw = ceil(C/64)
-  int64_t row_words_ = 0;      ///< K² · Cw
+  int64_t kernel_row_words_ = 0;  ///< ceil(K·C/64)
+  int64_t words_per_plane_ = 0;   ///< K · kernel_row_words_
   int act_bits_ = 1;
   ActEncoding encoding_ = ActEncoding::kUnsigned;
-  std::vector<uint64_t> weights_;  ///< rows × row_words_, tap-major
+  std::vector<uint64_t> weights_;  ///< rows × words_per_plane_
   std::vector<ThresholdChannel> thresholds_;
 };
 

@@ -161,9 +161,8 @@ void randomize(Network& net, Rng& rng) {
       Tensor& w = conv->weights();
       const auto fan_in = static_cast<float>(conv->geometry().patch_size());
       const float stddev = std::sqrt(2.0f / fan_in);
-      for (int64_t j = 0; j < w.numel(); ++j) w[j] = rng.normal(0.0f, stddev);
-      for (int64_t c = 0; c < conv->biases().numel(); ++c)
-        conv->biases()[c] = rng.normal(0.0f, 0.05f);
+      rng.fill_normal(w.span(), 0.0f, stddev);
+      rng.fill_normal(conv->biases().span(), 0.0f, 0.05f);
       if (conv->config().batch_normalize) {
         for (int64_t c = 0; c < conv->bn_scales().numel(); ++c) {
           conv->bn_scales()[c] = rng.uniform(0.8f, 1.2f);
@@ -175,9 +174,8 @@ void randomize(Network& net, Rng& rng) {
     } else if (auto* fc = dynamic_cast<ConnectedLayer*>(&net.layer(i))) {
       Tensor& w = fc->weights();
       const float stddev = std::sqrt(2.0f / static_cast<float>(fc->inputs()));
-      for (int64_t j = 0; j < w.numel(); ++j) w[j] = rng.normal(0.0f, stddev);
-      for (int64_t o = 0; o < fc->biases().numel(); ++o)
-        fc->biases()[o] = rng.normal(0.0f, 0.05f);
+      rng.fill_normal(w.span(), 0.0f, stddev);
+      rng.fill_normal(fc->biases().span(), 0.0f, 0.05f);
       fc->invalidate_cached_quantization();
     }
   }

@@ -5,15 +5,9 @@
 
 namespace tincy::quant {
 
-uint8_t UniformActQuant::quantize(float x) const {
-  const float code = std::round(x / scale);
-  return static_cast<uint8_t>(
-      std::clamp(code, 0.0f, static_cast<float>(levels())));
-}
-
 TensorU8 quantize_activations(const Tensor& t, const UniformActQuant& q) {
   TensorU8 out(t.shape());
-  for (int64_t i = 0; i < t.numel(); ++i) out[i] = q.quantize(t[i]);
+  q.quantize(t.data(), t.numel(), out.data());
   return out;
 }
 

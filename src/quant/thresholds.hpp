@@ -12,6 +12,7 @@
 /// the threshold form of it over integer accumulators, and bit-plane
 /// decomposition for XNOR-popcount dot products.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -28,7 +29,28 @@ struct UniformActQuant {
   float scale = 1.0f;
 
   int levels() const { return (1 << bits) - 1; }
-  uint8_t quantize(float x) const;
+
+  /// clamp(std::round(x / scale), 0, levels()), branch- and call-free so
+  /// a feature-map loop over it vectorizes. Clamping first is the same
+  /// (the bounds are integers); inside [0, levels()] the truncation t and
+  /// c − t are exact (Sterbenz), so rounding half away from zero is
+  /// t + (c − t ≥ 0.5). NaN maps to 0.
+  uint8_t quantize(float x) const {
+    const float c =
+        std::min(std::max(0.0f, x / scale), static_cast<float>(levels()));
+    const auto t = static_cast<int32_t>(c);
+    return static_cast<uint8_t>(t + (c - static_cast<float>(t) >= 0.5f));
+  }
+
+  /// quantize() of n values into `out`. The blocks of 16 have a fixed trip
+  /// count, which lets -O2's vectorizer take the loop.
+  void quantize(const float* __restrict x, int64_t n,
+                uint8_t* __restrict out) const {
+    int64_t i = 0;
+    for (; i + 16 <= n; i += 16)
+      for (int64_t k = 0; k < 16; ++k) out[i + k] = quantize(x[i + k]);
+    for (; i < n; ++i) out[i] = quantize(x[i]);
+  }
   float dequantize(uint8_t code) const { return scale * static_cast<float>(code); }
 };
 

@@ -42,11 +42,12 @@ Frame SyntheticCamera::read_frame() {
 
   Frame f;
   f.sequence = next_sequence_++;
-  f.image = Tensor(Shape{3, cfg_.height, cfg_.width}, 0.4f);
-  // Mild texture so the frame is not flat.
-  for (int64_t i = 0; i < f.image.numel(); ++i)
-    f.image[i] =
-        std::clamp(f.image[i] + rng_.normal(0.0f, 0.03f), 0.0f, 1.0f);
+  f.image = Tensor(Shape{3, cfg_.height, cfg_.width});
+  // Mild texture so the frame is not flat: 0.4 plus N(0, 0.03) per pixel,
+  // the Gaussians drawn in bulk (on the shared pool for a full frame).
+  const std::span<float> px = f.image.span();
+  rng_.fill_normal(px, 0.0f, 0.03f);
+  for (float& v : px) v = std::clamp(0.4f + v, 0.0f, 1.0f);
   for (const Object& o : objects_) {
     detect::GroundTruth gt;
     gt.box = {o.cx, o.cy, o.w, o.h};

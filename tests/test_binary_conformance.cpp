@@ -6,8 +6,9 @@
 //   * the per-column paper-unit models: SlidingWindowUnit emits each
 //     output pixel's footprint and Mvtu accumulates/thresholds it;
 //   * a direct byte-level dot product over the CHW codes.
-// The sweep covers channel counts around the 64-bit word boundary (tail
-// words), kernel 1/3, stride 1/2, pad 0/1, act_bits 1–4, the bipolar
+// The sweep covers channel counts around and between the 64-bit word
+// boundaries (window edges at every word shift, tail words), kernel
+// 1/3/5, stride 1/2, pad 0/1/same, act_bits 1–4, the bipolar
 // W1A1 encoding, 1×1-spatial FC stages as offload/import builds them for
 // MLP-4, batch 1–8, negative-slope (ascending=false) thresholds, forced
 // sharding on a private ThreadPool (the TSan target), the fused max-pool
@@ -291,15 +292,27 @@ TEST(PopcountTiers, DispatchTableIsConsistent) {
 
 // --- Geometry sweeps -----------------------------------------------------
 
-constexpr int64_t kChannelCounts[] = {1, 3, 16, 63, 64, 65, 130};
+// Channel counts around the 64-bit word boundary and between: a kernel
+// row is K·C dense bits, so C = 16, 21, 33 and 48 put window edges at
+// every shift of a word, and 32, 64, 130 at whole and half words.
+constexpr int64_t kChannelCounts[] = {1,  3,  16, 21, 32, 33,
+                                      48, 63, 64, 65, 130};
+constexpr int64_t kKernels[] = {1, 3, 5};
+
+/// Pads 0 and 1, and the "same" pad (K − 1)/2 when it is larger.
+std::vector<int64_t> pads_for(int64_t k) {
+  std::vector<int64_t> pads{0, 1};
+  if ((k - 1) / 2 > 1) pads.push_back((k - 1) / 2);
+  return pads;
+}
 
 TEST(BinaryConformance, UnsignedGeometrySweepEveryTier) {
   Rng rng(1301);
   for (int rep = 0; rep < conformance_reps(); ++rep)
     for (const int64_t c : kChannelCounts)
-      for (const int64_t k : {1, 3})
+      for (const int64_t k : kKernels)
         for (const int64_t stride : {1, 2})
-          for (const int64_t pad : {0, 1})
+          for (const int64_t pad : pads_for(k))
             for (int bits = 1; bits <= 4; ++bits) {
               const gemm::ConvGeometry g{c, rng.uniform_int(k, k + 5),
                                          rng.uniform_int(k, k + 5), k, stride,
@@ -316,9 +329,9 @@ TEST(BinaryConformance, BipolarGeometrySweepEveryTier) {
   Rng rng(1302);
   for (int rep = 0; rep < conformance_reps(); ++rep)
     for (const int64_t c : kChannelCounts)
-      for (const int64_t k : {1, 3})
+      for (const int64_t k : kKernels)
         for (const int64_t stride : {1, 2})
-          for (const int64_t pad : {0, 1}) {
+          for (const int64_t pad : pads_for(k)) {
             const gemm::ConvGeometry g{c, rng.uniform_int(k, k + 5),
                                        rng.uniform_int(k, k + 5), k, stride,
                                        pad};
@@ -410,6 +423,8 @@ TEST(BinaryConformance, ForcedShardingOnPrivatePool) {
       make_problem(rng, {64, 12, 12, 3, 2, 1}, 16, 2, ActEncoding::kUnsigned,
                    2),
       make_problem(rng, {63, 8, 8, 3, 1, 0}, 9, 1, ActEncoding::kBipolar, 4),
+      make_problem(rng, {16, 14, 13, 3, 1, 1}, 20, 3, ActEncoding::kUnsigned,
+                   2),
   };
   for (const Problem& p : problems) {
     expect_every_tier_conforms(p, sharded);
@@ -488,6 +503,10 @@ TEST(BinaryConformance, TincyYolo416HiddenGeometries) {
   for (const Layer& l : kLayers) {
     const Problem p = make_problem(rng, {l.c, l.hw, l.hw, 3, 1, 1}, 3, 3,
                                    ActEncoding::kUnsigned, 1);
+    // Dense window words: 3·ceil(3·16/64) = 3 per plane for the C = 16
+    // layer; 3·(3·C/64), one word per tap and 64 channels, for the rest.
+    EXPECT_EQ(make_engine(p).words_per_plane(), l.c == 16 ? 3 : 9 * l.c / 64)
+        << "C=" << l.c;
     expect_every_tier_conforms(p);
     if (HasFatalFailure()) return;
   }

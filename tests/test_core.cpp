@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include "core/rng.hpp"
 #include "core/shape.hpp"
 #include "core/string_utils.hpp"
 #include "core/tensor.hpp"
+#include "core/thread_pool.hpp"
 
 namespace tincy {
 namespace {
@@ -117,6 +122,76 @@ TEST(Rng, NormalMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.05);
   EXPECT_NEAR(sq / n, 1.0, 0.05);
+}
+
+// --- Rng::fill_normal: bit for bit the scalar normal() calls -----------
+
+/// Sizes around every path edge: tiny, odd, the caller floor and a band
+/// boundary of the pooled path (one either side of each).
+std::vector<int64_t> fill_normal_sizes() {
+  const int64_t floor = Rng::kBulkNormalFloor;
+  const int64_t band_edge = floor + 2 * Rng::kNormalBandPairs;
+  return {0, 1, 2, 3, 1001, floor - 1, floor, floor + 1,
+          band_edge - 1, band_edge, band_edge + 1};
+}
+
+/// fill_normal on `pool` equals n scalar normal(mean, stddev) calls, with
+/// and without a cached normal pending before the call; the generators
+/// end in the same state (cached normal included).
+void expect_fill_matches_scalar(core::ThreadPool* pool) {
+  for (const bool cached_before : {false, true})
+    for (const int64_t n : fill_normal_sizes()) {
+      Rng bulk(42 + static_cast<uint64_t>(n)), scalar = bulk;
+      if (cached_before) {  // leaves the pair's second normal cached
+        const float a = bulk.normal(), b = scalar.normal();
+        ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0);
+      }
+      std::vector<float> got(static_cast<size_t>(n), -1.0f), want(got);
+      bulk.fill_normal(got, 0.25f, 1.5f, pool);
+      for (float& v : want) v = scalar.normal(0.25f, 1.5f);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+                0)
+          << "n=" << n << " cached_before=" << cached_before;
+      // Same end state: a pending cached normal (odd tails) and the stream.
+      for (int i = 0; i < 3; ++i) {
+        const float a = bulk.normal(), b = scalar.normal();
+        ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "n=" << n;
+        ASSERT_EQ(bulk(), scalar()) << "n=" << n;
+      }
+    }
+}
+
+TEST(Rng, FillNormalInTheCallerMatchesScalarCalls) {
+  core::ThreadPool one(1);
+  expect_fill_matches_scalar(&one);
+}
+
+TEST(Rng, FillNormalOnPrivatePoolMatchesScalarCalls) {
+  core::ThreadPool pool(4);
+  expect_fill_matches_scalar(&pool);
+}
+
+TEST(Rng, FillNormalConcurrentCallersShareOnePool) {
+  // Two callers with their own generators run banded fills on one pool at
+  // once; each result is its scalar sequence (the TSan target).
+  core::ThreadPool pool(4);
+  const int64_t n = Rng::kBulkNormalFloor + 3 * Rng::kNormalBandPairs + 1;
+  const auto caller = [&](uint64_t seed, int* mismatches) {
+    Rng bulk(seed), scalar(seed);
+    std::vector<float> got(static_cast<size_t>(n)), want(got.size());
+    for (int rep = 0; rep < 3; ++rep) {
+      bulk.fill_normal(got, 0.0f, 0.03f, &pool);
+      for (float& v : want) v = scalar.normal(0.0f, 0.03f);
+      *mismatches +=
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) != 0;
+    }
+  };
+  int bad_a = 0, bad_b = 0;
+  std::thread a(caller, 7, &bad_a), b(caller, 8, &bad_b);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_a, 0);
+  EXPECT_EQ(bad_b, 0);
 }
 
 TEST(StringUtils, Trim) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <filesystem>
 
 #include "core/rng.hpp"
@@ -207,6 +208,48 @@ TEST(Camera, SceneActuallyMoves) {
   const auto b = cam.read_frame();
   EXPECT_NE(a.truth[0].box.x + a.truth[0].box.y,
             b.truth[0].box.x + b.truth[0].box.y);
+}
+
+/// The camera's frames restated with one scalar normal() per pixel: the
+/// constructor's scene draws replayed on a twin generator, then per frame
+/// the texture loop as the camera ran it before bulk sampling, and the
+/// camera's own objects rendered on top.
+void expect_camera_matches_scalar_texture(int64_t width, int64_t height) {
+  const video::CameraConfig cfg{.width = width, .height = height,
+                                .num_objects = 3, .seed = 99};
+  video::SyntheticCamera cam(cfg);
+  Rng rng(cfg.seed);
+  for (int i = 0; i < cfg.num_objects; ++i) {
+    const float w = rng.uniform(0.2f, 0.4f), h = rng.uniform(0.2f, 0.4f);
+    rng.uniform(w / 2, 1.0f - w / 2);
+    rng.uniform(h / 2, 1.0f - h / 2);
+    rng.uniform(0.0f, 6.2831853f);
+    rng.uniform_int(0, cfg.num_classes - 1);
+  }
+  for (int frame = 0; frame < 3; ++frame) {
+    const video::Frame f = cam.read_frame();
+    Tensor want(Shape{3, height, width}, 0.4f);
+    for (int64_t i = 0; i < want.numel(); ++i)
+      want[i] = std::clamp(want[i] + rng.normal(0.0f, 0.03f), 0.0f, 1.0f);
+    for (const auto& gt : f.truth) data::render_object(want, gt);
+    ASSERT_EQ(f.image.shape(), want.shape());
+    ASSERT_EQ(std::memcmp(f.image.data(), want.data(),
+                          static_cast<size_t>(want.numel()) * sizeof(float)),
+              0)
+        << width << "x" << height << " frame " << frame;
+  }
+}
+
+TEST(Camera, FullFrameTextureMatchesScalarLoopBitwise) {
+  // 640×480: above the bulk sampler's floor, on the shared pool.
+  expect_camera_matches_scalar_texture(640, 480);
+}
+
+TEST(Camera, OddFrameTextureMatchesScalarLoopBitwise) {
+  // Odd element counts leave a cached normal that the next frame starts
+  // with: 641×481 on the pooled path, 17×19 in the caller.
+  expect_camera_matches_scalar_texture(641, 481);
+  expect_camera_matches_scalar_texture(17, 19);
 }
 
 TEST(Draw, OutlinesBox) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "quant/affine.hpp"
@@ -116,6 +118,51 @@ TEST(UniformActQuant, ThreeBitGrid) {
   EXPECT_EQ(q.quantize(0.26f), 1);
   EXPECT_EQ(q.quantize(100.0f), 7);
   EXPECT_FLOAT_EQ(q.dequantize(3), 1.5f);
+}
+
+TEST(UniformActQuant, InlineQuantizeMatchesRoundAndClamp) {
+  // The call-free quantize equals clamp(std::round(x / scale), 0, levels)
+  // on ties (k + 0.5)·scale, their float neighbours, negatives, values
+  // above the top level and ±0, for several scales and precisions.
+  for (const int bits : {1, 3, 8})
+    for (const float scale : {1.0f, 0.5f, 0.1f, 0.0375f, 3.0f}) {
+      const UniformActQuant q{bits, scale};
+      const auto reference = [&](float x) {
+        return static_cast<uint8_t>(std::clamp(
+            std::round(x / scale), 0.0f, static_cast<float>(q.levels())));
+      };
+      std::vector<float> xs = {0.0f, -0.0f, -1e-30f, 1e-30f, -scale,
+                               -1e9f, 1e9f, INFINITY, -INFINITY};
+      for (int k = -2; k <= q.levels() + 2; ++k) {
+        const float tie = (static_cast<float>(k) + 0.5f) * scale;
+        const float at = static_cast<float>(k) * scale;
+        for (const float x : {tie, at})
+          xs.insert(xs.end(), {x, std::nextafter(x, -INFINITY),
+                               std::nextafter(x, INFINITY)});
+      }
+      for (const float x : xs)
+        EXPECT_EQ(q.quantize(x), reference(x))
+            << "x=" << x << " scale=" << scale << " bits=" << bits;
+      // The bulk form (16-wide blocks and a scalar tail) agrees, at every
+      // length across a block edge.
+      for (size_t n = 0; n <= xs.size(); n += n < 40 ? 1 : 7) {
+        std::vector<uint8_t> bulk(n + 1, 0xEE);
+        q.quantize(xs.data(), static_cast<int64_t>(n), bulk.data());
+        for (size_t i = 0; i < n; ++i)
+          ASSERT_EQ(bulk[i], reference(xs[i])) << "n=" << n << " i=" << i;
+        ASSERT_EQ(bulk[n], 0xEE) << "wrote past n=" << n;
+      }
+    }
+}
+
+TEST(UniformActQuant, InlineQuantizeMatchesOnRandomValues) {
+  Rng rng(17);
+  const UniformActQuant q{3, 0.173f};
+  for (int i = 0; i < 200000; ++i) {
+    const float x = rng.uniform(-0.5f, 1.6f);
+    const float want = std::clamp(std::round(x / q.scale), 0.0f, 7.0f);
+    ASSERT_EQ(q.quantize(x), static_cast<uint8_t>(want)) << "x=" << x;
+  }
 }
 
 TEST(Thresholds, ApplyCountsCrossings) {
